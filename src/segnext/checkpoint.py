@@ -33,6 +33,13 @@ def _pack_array(out: bytearray, name: str, arr: np.ndarray) -> None:
     out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not valid UTF-8: {exc}") from None
+
+
 class _Reader:
     def __init__(self, buf: bytes) -> None:
         self.buf = buf
@@ -50,7 +57,7 @@ class _Reader:
 
     def array(self) -> tuple[str, np.ndarray]:
         (name_len,) = self.unpack("<H")
-        name = self.take(name_len).decode("utf-8")
+        name = _utf8(self.take(name_len), "array name")
         (ndim,) = self.unpack("<B")
         shape = self.unpack(f"<{ndim}I")
         count = 1
@@ -122,7 +129,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             f"unsupported checkpoint version {version}; this build reads version {VERSION}"
         )
     (cfg_len,) = r.unpack("<I")
-    cfg_text = r.take(cfg_len).decode("utf-8")
+    cfg_text = _utf8(r.take(cfg_len), "config text")
     run_cfg = parse_config(cfg_text)
 
     model = build_model(run_cfg.model, int(model_seed))

@@ -21,7 +21,7 @@ from .decoder import (
     build_decoder,
     decoder_forward,
 )
-from .encoder import Encoder, EncoderFeatures, ModelConfig, build_encoder, encoder_forward
+from .encoder import Encoder, ModelConfig, build_encoder, encoder_forward
 from .initializers import trunc_normal
 from .tensor import Tensor
 
@@ -131,9 +131,6 @@ class SegModel:
                 rng: np.random.Generator | None = None) -> Tensor:
         feats = encoder_forward(self.encoder, x, training, rng)
         return decoder_forward(feats, self.decoder, training)
-
-    def features(self, x: Tensor, training: bool = False) -> EncoderFeatures:
-        return encoder_forward(self.encoder, x, training)
 
     def parameters(self) -> list[ParamEntry]:
         return list(encoder_param_entries(self.encoder)) + list(

@@ -94,6 +94,43 @@ def _is_pointwise(spec: ConvSpec) -> bool:
     return spec.kernel == (1, 1) and spec.groups == 1 and spec.stride == (1, 1)
 
 
+def _banded_depthwise(xp: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
+                      oh: int, ow: int) -> np.ndarray:
+    """Depthwise cross-correlation of a padded input (N, C, H, W) with one
+    kernel per channel, ``wk`` (C, kh, kw), as one batched GEMM.
+
+    The output width is cut into tiles of ``t`` columns. A tile's outputs read
+    ``span`` input columns from each of ``kh`` rows, and every tile shares one
+    banded (Toeplitz) matrix per channel, band[c, u, sw*j + v, j] = wk[c, u, v],
+    so (rows of kh*span inputs) @ (kh*span, t) band gives the tile. Kernels
+    taller than wide run on the transposed input, so the band lies along the
+    long axis.
+    """
+    kh, kw = wk.shape[1:]
+    if kh > kw:
+        out = _banded_depthwise(xp.transpose(0, 1, 3, 2), wk.transpose(0, 2, 1),
+                                stride[::-1], ow, oh)
+        return out.transpose(0, 1, 3, 2)
+    n, c, _, wp = xp.shape
+    sh, sw = stride
+    t = min(ow, max(16, 2 * kw))
+    tiles = -(-ow // t)
+    span = sw * (t - 1) + kw
+    need = sw * (tiles * t - 1) + kw  # input columns read by the last tile
+    if need > wp:
+        xp = np.pad(xp, ((0, 0), (0, 0), (0, 0), (0, need - wp)))
+    bn, bc, bh, bw = xp.strides
+    rows = as_strided(
+        xp, (n, c, oh, tiles, kh, span), (bn, bc, bh * sh, bw * sw * t, bh, bw),
+        writeable=False,
+    ).reshape(n, c, oh * tiles, kh * span)
+    band = np.zeros((c, kh, span, t), dtype=wk.dtype)
+    j = np.arange(t)
+    band[:, :, sw * j + np.arange(kw)[:, None], j] = wk[..., None]
+    out = np.matmul(rows, band.reshape(c, kh * span, t))
+    return out.reshape(n, c, oh, tiles * t)[..., :ow]
+
+
 def _conv_forward(xp: np.ndarray, w: np.ndarray, spec: ConvSpec,
                   oh: int, ow: int) -> np.ndarray:
     n = xp.shape[0]
@@ -106,10 +143,9 @@ def _conv_forward(xp: np.ndarray, w: np.ndarray, spec: ConvSpec,
         c = spec.in_channels
         out = np.matmul(w.reshape(o, c), xp.reshape(n, c, oh * ow))
         return out.reshape(n, o, oh, ow)
-    pv = _patches(xp, kh, kw, sh, sw, oh, ow)
     if _is_depthwise(spec):
-        # Per-channel kernel contraction straight off the strided view.
-        return np.einsum("nchwuv,cuv->nchw", pv, w[:, 0], optimize=True)
+        return _banded_depthwise(xp, w[:, 0], spec.stride, oh, ow)
+    pv = _patches(xp, kh, kw, sh, sw, oh, ow)
     cg = spec.in_channels // g
     og = o // g
     # Batched GEMM per group: (g, n*oh*ow, cg*kh*kw) @ (g, cg*kh*kw, og).
@@ -137,6 +173,14 @@ def _scatter_cols(dcols: np.ndarray, xp_shape: tuple[int, ...], spec: ConvSpec,
     return dxp
 
 
+def _frame_slices(offset: int, step: int, count: int, size: int) -> tuple[slice, slice]:
+    """Destination and source slices that put items 0..count-1 at
+    offset + step*i of an axis of ``size``, dropping those that fall outside."""
+    i0 = max(0, -(offset // step))
+    i1 = max(i0, min(count, (size - 1 - offset) // step + 1))
+    return slice(offset + step * i0, offset + step * i1, step), slice(i0, i1)
+
+
 def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSpec,
                    pad: tuple[int, int], in_hw: tuple[int, int],
                    need_x: bool, need_w: bool):
@@ -162,20 +206,29 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
         return dx, dw
 
     if _is_depthwise(spec):
-        # One pass over the kernel taps; each tap sees the strided input slice
-        # its weight multiplied in the forward.
         wk = w[:, 0]  # (c, kh, kw)
-        dw = np.empty_like(wk) if need_w else None
-        dxp = np.zeros_like(xp) if need_x else None
-        for u in range(kh):
-            for v in range(kw):
-                tap = (..., slice(u, u + sh * oh, sh), slice(v, v + sw * ow, sw))
-                if need_w:
+        dw = dx = None
+        if need_w:
+            # One contraction per kernel tap over the strided input slice the
+            # tap's weight multiplied in the forward.
+            dw = np.empty_like(wk)
+            for u in range(kh):
+                for v in range(kw):
+                    tap = (..., slice(u, u + sh * oh, sh), slice(v, v + sw * ow, sw))
                     dw[:, u, v] = np.einsum("nchw,nchw->c", xp[tap], grad)
-                if need_x:
-                    dxp[tap] += grad * wk[:, u, v].reshape(1, -1, 1, 1)
-        dx = None if dxp is None else dxp[:, :, ph : ph + h, pw : pw + w_]
-        return dx, None if dw is None else dw.reshape(w.shape)
+            dw = dw.reshape(w.shape)
+        if need_x:
+            # dx is the stride-1 correlation of the flipped kernel with the
+            # output gradient, dilated by the stride and placed so that
+            # grad[i, j] sits at (kh-1-ph + sh*i, kw-1-pw + sw*j) of a zero
+            # frame one kernel larger than the input.
+            fh, fw = h + kh - 1, w_ + kw - 1
+            fr, gr = _frame_slices(kh - 1 - ph, sh, oh, fh)
+            fc, gc = _frame_slices(kw - 1 - pw, sw, ow, fw)
+            frame = np.zeros((n, o, fh, fw), dtype=grad.dtype)
+            frame[:, :, fr, fc] = grad[:, :, gr, gc]
+            dx = _banded_depthwise(frame, wk[:, ::-1, ::-1], (1, 1), h, w_)
+        return dx, dw
 
     # General grouped path, mirroring the forward's column layout.
     go = grad.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2).reshape(g, n * oh * ow, og)

@@ -79,10 +79,6 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}{grad}{tag})"
 
 
-def full_like(t: Tensor, value: float) -> Tensor:
-    return Tensor(np.full(t.shape, value, dtype=t.dtype))
-
-
 def zeros(shape: Sequence[int], dtype=np.float32, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(tuple(shape), dtype=dtype), requires_grad=requires_grad)
 

@@ -74,14 +74,17 @@ def adamw_step(params: list[ParamEntry], grads, state: OptimState, lr: float) ->
     and applies only to entries flagged for decay (conv and linear weights,
     not norms, biases, or layer scales).
     """
+    # Validate every gradient before touching any state, so a divergence
+    # leaves parameters, moments and the step counter as they were.
+    gs = [grads.of(e.tensor) for e in params]
+    for e, g in zip(params, gs):
+        if not np.all(np.isfinite(g)):
+            raise TrainingDiverged(f"non-finite gradient for parameter {e.name}")
     b1, b2 = state.betas
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for e in params:
-        g = grads.of(e.tensor)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient for parameter {e.name}")
+    for e, g in zip(params, gs):
         p = e.tensor.data
         if e.decay and state.weight_decay:
             p *= 1.0 - lr * state.weight_decay

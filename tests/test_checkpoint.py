@@ -138,6 +138,22 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("target", ["config", "param_name"])
+    def test_invalid_utf8_under_valid_crc_rejected(self, model, tmp_path, target):
+        import zlib
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        raw = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack("<I", raw[20:24])
+        # First byte of the config text, or of the first parameter's name
+        # (after the config, the parameter count and the name length).
+        at = 24 if target == "config" else 24 + cfg_len + 4 + 2
+        raw[at] = 0xFF  # never valid in UTF-8
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
     def test_magic_bytes_lead_the_file(self, model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)

@@ -65,6 +65,10 @@ REGIMES = [
     (16, 8, (1, 1), (1, 1), None, 1, 5, 5),         # pointwise reducing
     (3, 3, (3, 3), (1, 1), (0, 0), 3, 6, 6),        # no padding
     (4, 4, (3, 3), (2, 2), None, 4, 9, 10),         # depthwise strided
+    (3, 3, (3, 3), (1, 1), None, 3, 5, 37),         # width tiles, ragged last
+    (3, 3, (11, 1), (1, 1), None, 3, 45, 4),        # tall strip, tiles after transpose
+    (4, 4, (5, 5), (1, 2), (1, 3), 4, 9, 40),       # depthwise uneven stride, padding
+    (3, 3, (1, 3), (1, 1), (2, 0), 3, 5, 7),        # depthwise padding > kernel - 1
 ]
 
 

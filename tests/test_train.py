@@ -111,6 +111,26 @@ class TestAdamW:
         with pytest.raises(TrainingDiverged, match="encoder.stage1.weird"):
             adamw_step([p], FakeGrads([(p.tensor, bad)]), state, lr=0.01)
 
+    def test_nan_gradient_leaves_state_untouched(self):
+        good = scalar_param("a.good", 1.0, decay=True)
+        bad = scalar_param("b.bad", 2.0, decay=True)
+        params = [good, bad]
+        state = init_optim(params)
+        g = np.full((1, 1, 1, 1), 0.3)
+        adamw_step(params, FakeGrads([(good.tensor, g), (bad.tensor, g)]), state, lr=0.01)
+
+        def snapshot():
+            arrays = [a for e in params
+                      for a in (e.tensor.data, state.m[e.name], state.v[e.name])]
+            return [a.tobytes() for a in arrays], state.t
+
+        before = snapshot()
+        nan = np.full((1, 1, 1, 1), np.nan)
+        with pytest.raises(TrainingDiverged, match="b.bad"):
+            adamw_step(params, FakeGrads([(good.tensor, g), (bad.tensor, nan)]),
+                       state, lr=0.01)
+        assert snapshot() == before
+
     def test_identical_runs_bitwise_identical(self):
         def run():
             rng = np.random.default_rng(0)
