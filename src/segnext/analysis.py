@@ -1,11 +1,10 @@
-"""Exact parameter counts and analytic FLOP counts, layer by layer.
+"""Exact parameter counts and FLOP counts, layer by layer.
 
-Counting convention: one multiply-accumulate is one FLOP unit; conv bias
-adds are folded into the MAC count (not counted separately); normalization,
-activations, and elementwise ops cost one unit per output element; bilinear
-resizing costs eight units per output element (zero when the size is
-unchanged); data movement (concat, reshape, transpose) is free. FLOPs are
-for a single image.
+The counter is the real forward run on an empty batch (0, 3, H, W): every
+op checks shapes, does no arithmetic, and charges the per-image cost it
+states in ``ops.py`` to the row of the layer whose parameters it reads (the
+registry name without its last part), or else to the innermost scope the
+forward opened: ``encoder.stageS.blockB``, ``decoder`` or ``decoder.nmf``.
 """
 from __future__ import annotations
 
@@ -15,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BatchNorm, BlockParams, ConvLayer
-from .decoder import HamParams, MlpDecoderParams
-from .encoder import Encoder
 from .model import SegModel
-from .tensor import Tensor
-
-CONVENTION = (
-    "mac=1 (bias folded in); bn/act/elementwise=1 per output element; "
-    "bilinear resize=8 per output element; reshapes free"
-)
+from .ops import CONVENTION
+from .tensor import CostSink, Tensor
 
 
 @dataclass(frozen=True)
@@ -72,189 +64,15 @@ def count_params(model) -> int:
     return sum(e.tensor.size for e in model.parameters())
 
 
-def _conv_params(layer: ConvLayer) -> int:
-    n = layer.weight.size
-    if layer.bias is not None:
-        n += layer.bias.size
-    return n
-
-
-def _conv_cost(name: str, layer: ConvLayer, h: int, w: int) -> tuple[LayerCost, int, int]:
-    spec = layer.spec
-    oh, ow = spec.out_size(h, w)
-    macs = oh * ow * spec.out_channels * (spec.in_channels // spec.groups) * (
-        spec.kernel[0] * spec.kernel[1]
-    )
-    return LayerCost(name, _conv_params(layer), macs), oh, ow
-
-
-def _norm_cost(name: str, bn: BatchNorm, c: int, h: int, w: int) -> LayerCost:
-    return LayerCost(name, bn.gamma.size + bn.beta.size, c * h * w)
-
-
-def _resize_flops(c: int, from_hw: tuple[int, int], to_hw: tuple[int, int]) -> int:
-    if from_hw == to_hw:
-        return 0
-    return 8 * c * to_hw[0] * to_hw[1]
-
-
-def _block_costs(prefix: str, b: BlockParams, c: int, h: int, w: int) -> list[LayerCost]:
-    out: list[LayerCost] = []
-    elems = c * h * w
-    out.append(_norm_cost(f"{prefix}.norm1", b.norm1, c, h, w))
-    lc, _, _ = _conv_cost(f"{prefix}.attn_in", b.attn_in, h, w)
-    out.append(lc)
-    attn = b.attn
-    lc, _, _ = _conv_cost(f"{prefix}.attn.local_dw", attn.local_dw, h, w)
-    out.append(lc)
-    for i, (horiz, vert) in enumerate(attn.branches):
-        ch, _, _ = _conv_cost(f"{prefix}.attn.branch{i}.h", horiz, h, w)
-        cv, _, _ = _conv_cost(f"{prefix}.attn.branch{i}.v", vert, h, w)
-        out.append(LayerCost(f"{prefix}.attn.branch{i}", ch.params + cv.params,
-                             ch.flops + cv.flops))
-    lc, _, _ = _conv_cost(f"{prefix}.attn.channel_mix", attn.channel_mix, h, w)
-    out.append(lc)
-    lc, _, _ = _conv_cost(f"{prefix}.attn_out", b.attn_out, h, w)
-    out.append(lc)
-    out.append(_norm_cost(f"{prefix}.norm2", b.norm2, c, h, w))
-    lc, _, _ = _conv_cost(f"{prefix}.ffn_expand", b.ffn_expand, h, w)
-    out.append(lc)
-    lc, _, _ = _conv_cost(f"{prefix}.ffn_dw", b.ffn_dw, h, w)
-    out.append(lc)
-    lc, _, _ = _conv_cost(f"{prefix}.ffn_project", b.ffn_project, h, w)
-    out.append(lc)
-    # Activations, branch sums, the attention gate, layer scales, residuals.
-    hidden = b.ffn_dw.spec.out_channels * h * w
-    n_branch_adds = len(attn.branches) if attn.multi_scale else 0
-    eltwise = (
-        elems  # gelu after attn_in
-        + n_branch_adds * elems  # branch sums
-        + elems  # attention multiply
-        + 2 * elems  # layer scale 1 + residual add
-        + hidden  # gelu in ffn
-        + 2 * elems  # layer scale 2 + residual add
-    )
-    out.append(
-        LayerCost(f"{prefix}.elementwise", b.layer_scale1.size + b.layer_scale2.size, eltwise)
-    )
-    return out
-
-
-def encoder_costs(enc: Encoder, input_h: int, input_w: int) -> list[LayerCost]:
-    out: list[LayerCost] = []
-    h, w = input_h, input_w
-    for si, stage in enumerate(enc.stages, start=1):
-        sp = f"encoder.stage{si}"
-        c = enc.cfg.stages[si - 1].channels
-        for di, down in enumerate(stage.downsample):
-            lc, h, w = _conv_cost(f"{sp}.down{di}.conv", down.conv, h, w)
-            out.append(lc)
-            cc = down.conv.spec.out_channels
-            out.append(_norm_cost(f"{sp}.down{di}.norm", down.norm, cc, h, w))
-        for bi, block in enumerate(stage.blocks):
-            out.extend(_block_costs(f"{sp}.block{bi}", block, c, h, w))
-    return out
-
-
-def _stage_grids(enc: Encoder, input_h: int, input_w: int) -> list[tuple[int, int]]:
-    """Spatial sizes of the four stage outputs for a given input."""
-    grids = []
-    h, w = input_h, input_w
-    for stage in enc.stages:
-        for down in stage.downsample:
-            h, w = down.conv.spec.out_size(h, w)
-        grids.append((h, w))
-    return grids
-
-
-def _nmf_flops(c: int, rank: int, hw: int, iters: int) -> int:
-    per_iter = (
-        rank * c * hw  # Wt X
-        + rank * c * rank  # Wt W
-        + rank * rank * hw  # (Wt W) H
-        + 3 * rank * hw  # eps, mul, div on codes
-        + c * hw * rank  # X Ht
-        + rank * hw * rank  # H Ht
-        + c * rank * rank  # W (H Ht)
-        + 3 * c * rank  # eps, mul, div on bases
-    )
-    return iters * per_iter + c * rank * hw  # plus final reconstruction
-
-
-def decoder_costs(model: SegModel, input_h: int, input_w: int) -> list[LayerCost]:
-    cfg = model.cfg
-    dec = model.decoder
-    grids = _stage_grids(model.encoder, input_h, input_w)
-    chans = cfg.channels
-    out: list[LayerCost] = []
-    k = cfg.num_classes
-
-    if isinstance(dec, HamParams):
-        first = 0 if dec.include_stage1 else 1
-        gh, gw = grids[first]
-        resize = sum(
-            _resize_flops(chans[i], grids[i], (gh, gw)) for i in range(first + 1, 4)
-        )
-        out.append(LayerCost("decoder.gather_resize", 0, resize))
-        lc, _, _ = _conv_cost("decoder.pre_proj", dec.pre_proj, gh, gw)
-        out.append(lc)
-        dim = dec.pre_proj.spec.out_channels
-        elems = dim * gh * gw
-        out.append(LayerCost("decoder.rectify", 0, elems))
-        out.append(
-            LayerCost("decoder.nmf", 0, _nmf_flops(dim, dec.rank, gh * gw, dec.iters))
-        )
-        lc, _, _ = _conv_cost("decoder.post_proj", dec.post_proj, gh, gw)
-        out.append(lc)
-        out.append(LayerCost("decoder.residual", 0, elems))
-        lc, _, _ = _conv_cost("decoder.classifier", dec.classifier, gh, gw)
-        out.append(lc)
-        out.append(
-            LayerCost(
-                "decoder.upsample", 0, _resize_flops(k, (gh, gw), (input_h, input_w))
-            )
-        )
-    elif isinstance(dec, MlpDecoderParams):
-        gh, gw = grids[0]
-        dim = dec.fuse.spec.out_channels
-        for i, proj in enumerate(dec.projs):
-            lc, _, _ = _conv_cost(f"decoder.proj{i}", proj, *grids[i])
-            out.append(lc)
-        resize = sum(_resize_flops(dim, grids[i], (gh, gw)) for i in range(1, 4))
-        out.append(LayerCost("decoder.gather_resize", 0, resize))
-        lc, _, _ = _conv_cost("decoder.fuse", dec.fuse, gh, gw)
-        out.append(lc)
-        lc, _, _ = _conv_cost("decoder.classifier", dec.classifier, gh, gw)
-        out.append(lc)
-        out.append(
-            LayerCost(
-                "decoder.upsample", 0, _resize_flops(k, (gh, gw), (input_h, input_w))
-            )
-        )
-    else:
-        gh, gw = grids[3]
-        dim = dec.refine1.spec.out_channels
-        lc, _, _ = _conv_cost("decoder.refine1", dec.refine1, gh, gw)
-        out.append(lc)
-        out.append(_norm_cost("decoder.refine_norm1", dec.refine_norm1, dim, gh, gw))
-        out.append(LayerCost("decoder.refine_act1", 0, dim * gh * gw))
-        lc, _, _ = _conv_cost("decoder.refine2", dec.refine2, gh, gw)
-        out.append(lc)
-        out.append(_norm_cost("decoder.refine_norm2", dec.refine_norm2, dim, gh, gw))
-        out.append(LayerCost("decoder.refine_act2", 0, dim * gh * gw))
-        lc, _, _ = _conv_cost("decoder.classifier", dec.classifier, gh, gw)
-        out.append(lc)
-        out.append(
-            LayerCost(
-                "decoder.upsample", 0, _resize_flops(k, (gh, gw), (input_h, input_w))
-            )
-        )
-    return out
-
-
 def cost_report(model: SegModel, input_h: int, input_w: int) -> CostReport:
-    layers = encoder_costs(model.encoder, input_h, input_w)
-    layers += decoder_costs(model, input_h, input_w)
+    """Per-layer costs of one ``input_h`` x ``input_w`` image; raises what
+    the forward raises for an input the model rejects."""
+    params = model.parameters()
+    layer_of = {id(e.tensor): e.name.rpartition(".")[0] for e in params}
+    x = Tensor(np.empty((0, 3, input_h, input_w), dtype=params[0].tensor.dtype))
+    with CostSink(layer_of) as sink:
+        model.forward(x)
+    layers = [LayerCost(name, p, f) for name, (p, f) in sink.rows.items()]
     return CostReport(layers, input_h, input_w)
 
 

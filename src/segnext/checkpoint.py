@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, parse_config, serialize_config
+from .encoder import ConfigError
 from .model import SegModel, build_model
 from .train import OptimState
 
@@ -130,7 +131,10 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         )
     (cfg_len,) = r.unpack("<I")
     cfg_text = _utf8(r.take(cfg_len), "config text")
-    run_cfg = parse_config(cfg_text)
+    try:
+        run_cfg = parse_config(cfg_text)
+    except ConfigError as exc:
+        raise CheckpointError(f"config text is not a valid config: {exc}") from exc
 
     model = build_model(run_cfg.model, int(model_seed))
     params = model.parameters()

@@ -23,7 +23,7 @@ from . import ops
 from .blocks import BatchNorm, ConvLayer, conv, make_conv, make_norm, norm
 from .encoder import EncoderFeatures, ModelConfig
 from .ops import ConvSpec
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, scope
 
 # Damping added to multiplicative-update denominators. Keeps 0/0 out of the
 # updates while preserving monotone descent (each coordinate moves a fraction
@@ -73,6 +73,7 @@ def nmf_reconstruct(x: np.ndarray, rank: int, iters: int, seed: int) -> np.ndarr
     return w @ h
 
 
+@scope("decoder.nmf")
 def _nmf_reconstruct_tensor(x: Tensor, rank: int, iters: int, seed: int) -> Tensor:
     """Tape-recorded NMF over a batched (N, 1, C, HW) tensor.
 
@@ -215,6 +216,7 @@ def core_decoder_forward(feats: EncoderFeatures, p: CoreDecoderParams,
     return ops.bilinear_resize(logits, feats.input_h, feats.input_w)
 
 
+@scope("decoder")
 def decoder_forward(feats: EncoderFeatures, p: DecoderParams, training: bool = False) -> Tensor:
     if isinstance(p, HamParams):
         return ham_decoder_forward(feats, p, training)

@@ -25,7 +25,7 @@ from .blocks import (
     norm,
 )
 from .ops import ConvSpec
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, scope
 
 MIN_INPUT_SIZE = 32
 
@@ -204,10 +204,11 @@ def encoder_forward(enc: Encoder, x: Tensor, training: bool = False,
         )
     fwd = block_forward if enc.cfg.use_msca else large_kernel_block_forward
     feats: list[Tensor] = []
-    for stage in enc.stages:
+    for si, stage in enumerate(enc.stages, start=1):
         for layer in stage.downsample:
             x = norm(conv(x, layer.conv), layer.norm, training)
-        for block in stage.blocks:
-            x = fwd(x, block, training, enc.cfg.drop_path, rng)
+        for bi, block in enumerate(stage.blocks):
+            with scope(f"encoder.stage{si}.block{bi}"):
+                x = fwd(x, block, training, enc.cfg.drop_path, rng)
         feats.append(x)
     return EncoderFeatures(*feats, input_h=h, input_w=w)

@@ -6,6 +6,12 @@ Convolutions use the cross-correlation convention (no kernel flip), zero
 padding, and the floor output-size rule. Elementwise ops require identical
 shapes; the only broadcasting anywhere is the explicit per-channel /
 per-sample ``scale`` op.
+
+Each op also charges its cost for one image, by ``CONVENTION`` from
+``shape[1:]``, and the tensors it reads to the active ``tensor.CostSink``,
+so a forward on an empty batch counts costs without any arithmetic. A
+resize to the same size, concat, reshape and transpose are free; the
+reductions and the loss, which no forward runs, are not counted.
 """
 from __future__ import annotations
 
@@ -16,6 +22,17 @@ from numpy.lib.stride_tricks import as_strided
 from scipy import special
 
 from .tensor import GraphError, ShapeError, Tensor, grad_relevant, record
+from .tensor import charge as _charge
+
+CONVENTION = (
+    "mac=1 (bias folded in); bn/act/elementwise=1 per output element; "
+    "bilinear resize=8 per output element; reshapes free"
+)
+
+
+def _per_image(t: Tensor) -> int:
+    _, c, h, w = t.shape
+    return c * h * w
 
 
 @dataclass(frozen=True)
@@ -291,6 +308,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     if bias is not None:
         out_data = out_data + bias.data
     out = Tensor(out_data)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    _charge(inputs, _per_image(out) * (c // spec.groups) * spec.kernel[0] * spec.kernel[1])
     need_x = grad_relevant(x)  # skip input adjoints for graph leaves (e.g. images)
 
     def bwd(g: np.ndarray):
@@ -302,7 +321,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
             return dx, dw, db
         return dx, dw
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     return record(out, inputs, bwd)
 
 
@@ -321,7 +339,8 @@ def batchnorm2d(
     Training mode normalizes by batch statistics over the N, H, W axes and
     updates ``running_mean``/``running_var`` in place by exponential moving
     average (the running variance uses the unbiased estimator, the
-    normalization the biased one). Eval mode normalizes by the running stats.
+    normalization the biased one). Eval mode normalizes by the running stats
+    and, unlike training mode, accepts an empty batch.
     """
     n, c, h, w = x.shape
     for name, v, want in (
@@ -335,8 +354,9 @@ def batchnorm2d(
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     m = n * h * w
-    if m == 0:
+    if h * w == 0 or (training and n == 0):
         raise ShapeError("batchnorm needs a non-empty batch and spatial extent")
+    _charge((x, gamma, beta), c * h * w)
 
     xd = x.data
     if training:
@@ -376,6 +396,7 @@ _INV_SQRT_2PI = 0.3989422804014327
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x)."""
+    _charge((x,), _per_image(x))
     xd = x.data
     cdf = 0.5 * (1.0 + special.erf(xd * _INV_SQRT2))
     out = Tensor(xd * cdf)
@@ -388,6 +409,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    _charge((x,), _per_image(x))
     out = Tensor(np.maximum(x.data, 0))
 
     def bwd(g: np.ndarray):
@@ -426,7 +448,7 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int, align_corners: bool = Fal
     n, c, h, w = x.shape
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"output size must be >= 1, got {out_h}x{out_w}")
-    if h < 1 or w < 1 or n < 1 or c < 1:
+    if h < 1 or w < 1 or c < 1:
         raise ShapeError(f"cannot resize zero-size input of shape {tuple(x.shape)}")
     if out_h == h and out_w == w:
         out = Tensor(x.data)
@@ -436,6 +458,7 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int, align_corners: bool = Fal
 
         return record(out, (x,), bwd_id)
 
+    _charge((x,), 8 * c * out_h * out_w)
     # The separable linear map y = R_h x R_w^T.
     rh = _resize_matrix(out_h, h, align_corners, x.dtype)
     rw = _resize_matrix(out_w, w, align_corners, x.dtype)
@@ -459,6 +482,7 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
+    _charge((a, b), _per_image(a))
     out = Tensor(a.data + b.data)
 
     def bwd(g: np.ndarray):
@@ -469,6 +493,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
+    _charge((a, b), _per_image(a))
     out = Tensor(a.data * b.data)
 
     def bwd(g: np.ndarray):
@@ -479,6 +504,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "div")
+    _charge((a, b), _per_image(a))
     out = Tensor(a.data / b.data)
 
     def bwd(g: np.ndarray):
@@ -489,6 +515,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_scalar(x: Tensor, value: float) -> Tensor:
+    _charge((x,), _per_image(x))
     out = Tensor(x.data + x.dtype.type(value))
 
     def bwd(g: np.ndarray):
@@ -512,6 +539,7 @@ def scale(x: Tensor, s: Tensor) -> Tensor:
         raise ShapeError(
             f"scale factor shape {tuple(s.shape)} must be (1,{c},1,1) or ({n},1,1,1)"
         )
+    _charge((x, s), _per_image(x))
     out = Tensor(x.data * s.data)
 
     def bwd(g: np.ndarray):
@@ -574,6 +602,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     if ak != bk:
         raise ShapeError(f"matmul inner dims differ: {ak} vs {bk}")
+    _charge((a, b), ac * am * ak * bp)
     out = Tensor(np.matmul(a.data, b.data))
 
     def bwd(g: np.ndarray):

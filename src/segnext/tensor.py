@@ -1,7 +1,9 @@
 """4-D tensor value type and the reverse-mode gradient tape."""
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,7 +90,11 @@ def zeros(shape: Sequence[int], dtype=np.float32, requires_grad: bool = False) -
 # output adjoint to one adjoint per input (None where an input needs none).
 _BackwardFn = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
 
-_ACTIVE_TAPE: "GradTape | None" = None
+# Context variables, so that a forward pass in another thread (or task) is
+# neither recorded on this tape nor charged to this cost sink.
+_ACTIVE_TAPE: ContextVar["GradTape | None"] = ContextVar("segnext_tape", default=None)
+_COST_SINK: ContextVar["CostSink | None"] = ContextVar("segnext_cost_sink", default=None)
+_SCOPE: ContextVar[str] = ContextVar("segnext_scope", default="model")
 
 
 class GradTape:
@@ -100,8 +106,8 @@ class GradTape:
             loss = ...
         grads = backward(tape, loss)
 
-    Only one tape may record at a time; a tape is confined to a single
-    logical execution stream.
+    Only one tape may record at a time in a thread; ops run in other
+    threads are not recorded on it.
     """
 
     def __init__(self) -> None:
@@ -110,15 +116,13 @@ class GradTape:
         self._relevant: set[int] = set()
 
     def __enter__(self) -> "GradTape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise GraphError("a gradient tape is already recording; tapes cannot nest")
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.reset(self._token)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -143,14 +147,14 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: _BackwardFn) ->
     No-op (and no overhead beyond the check) outside a tape or when none of
     the inputs can affect a gradient.
     """
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is not None and tape._wants(inputs):
         tape._record(out, inputs, backward_fn)
     return out
 
 
 def recording() -> bool:
-    return _ACTIVE_TAPE is not None
+    return _ACTIVE_TAPE.get() is not None
 
 
 def grad_relevant(t: Tensor) -> bool:
@@ -161,8 +165,57 @@ def grad_relevant(t: Tensor) -> bool:
     """
     if t.requires_grad:
         return True
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     return tape is not None and id(t) in tape._relevant
+
+
+class CostSink:
+    """Per-row parameter and FLOP totals that ops charge while it is active.
+
+    An op that reads tensors named in ``layer_of`` (by ``id``) is charged to
+    the first one's layer, and each such tensor's size is counted once; any
+    other op is charged to the innermost :func:`scope`. Rows keep
+    first-charge order.
+    """
+
+    def __init__(self, layer_of: dict[int, str]) -> None:
+        self.layer_of = layer_of
+        self.rows: dict[str, list[int]] = {}
+        self._counted: set[int] = set()
+
+    def __enter__(self) -> "CostSink":
+        self._token = _COST_SINK.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _COST_SINK.reset(self._token)
+
+    def _charge(self, inputs: Iterable[Tensor], flops: int) -> None:
+        named = [t for t in inputs if id(t) in self.layer_of]
+        row = self.layer_of[id(named[0])] if named else _SCOPE.get()
+        totals = self.rows.setdefault(row, [0, 0])
+        totals[0] += sum(t.size for t in named if id(t) not in self._counted)
+        totals[1] += flops
+        self._counted.update(id(t) for t in named)
+
+
+def charge(inputs: Iterable[Tensor], flops: int) -> None:
+    """Charge an op's per-image FLOPs and the tensors it reads to the active
+    cost sink; a single context-variable read when none is active."""
+    sink = _COST_SINK.get()
+    if sink is not None:
+        sink._charge(inputs, flops)
+
+
+@contextmanager
+def scope(name: str) -> Iterator[None]:
+    """Name the cost row of parameter-free ops run inside the block (or the
+    decorated function)."""
+    token = _SCOPE.set(name)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
 
 
 class Gradients:

@@ -154,6 +154,19 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="UTF-8"):
             load_checkpoint(path)
 
+    def test_invalid_config_under_valid_crc_rejected(self, model, tmp_path):
+        import zlib
+        from segnext.encoder import ConfigError
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[24:26] = b"xx"  # valid UTF-8, but "xx" replaces the "[m" of "[model]"
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="not a valid config") as info:
+            load_checkpoint(path)
+        assert isinstance(info.value.__cause__, ConfigError)
+
     def test_magic_bytes_lead_the_file(self, model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)

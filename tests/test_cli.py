@@ -69,6 +69,12 @@ class TestBuildAnalyze:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_analyze_rejects_input_below_minimum_size(self, cfg_path, capsys):
+        code, out, err = run(capsys, "analyze", cfg_path, "--input-size", "16x16")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at least 32x32" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "build", "/nonexistent/x.cfg")
         assert code == 1 and err.startswith("error: ")

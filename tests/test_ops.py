@@ -120,6 +120,29 @@ class TestBatchNorm:
         want = fd_gradient(f_gamma, bn.gamma.data.copy())
         assert rel_err(g.of(bn.gamma), want) < 1e-5
 
+    def test_eval_mode_accepts_empty_batch(self):
+        bn = make_bn(3)
+        y = ops.batchnorm2d(Tensor(np.zeros((0, 3, 4, 5))), bn.gamma, bn.beta,
+                            bn.running_mean, bn.running_var, 1e-5, False, 0.1)
+        assert y.shape == (0, 3, 4, 5)
+
+    def test_train_mode_rejects_empty_batch(self):
+        bn = make_bn(3)
+        before = (bn.running_mean.copy(), bn.running_var.copy())
+        with pytest.raises(ShapeError):
+            ops.batchnorm2d(Tensor(np.zeros((0, 3, 4, 5))), bn.gamma, bn.beta,
+                            bn.running_mean, bn.running_var, 1e-5, True, 0.1)
+        np.testing.assert_array_equal(bn.running_mean, before[0])
+        np.testing.assert_array_equal(bn.running_var, before[1])
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 3, 0, 5), (2, 3, 4, 0), (0, 3, 0, 5)])
+    def test_rejects_zero_spatial_size(self, training, shape):
+        bn = make_bn(3)
+        with pytest.raises(ShapeError):
+            ops.batchnorm2d(Tensor(np.zeros(shape)), bn.gamma, bn.beta,
+                            bn.running_mean, bn.running_var, 1e-5, training, 0.1)
+
 
 class TestActivations:
     def test_gelu_exact_values(self):
@@ -175,6 +198,17 @@ class TestBilinearResize:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ShapeError):
             ops.bilinear_resize(Tensor(np.zeros((1, 1, 4, 4))), 0, 5)
+
+    @pytest.mark.parametrize("ohw", [(9, 13), (4, 6)])
+    def test_empty_batch_gives_empty_output(self, ohw):
+        out = ops.bilinear_resize(Tensor(np.zeros((0, 3, 4, 6))), *ohw)
+        assert out.shape == (0, 3, *ohw)
+
+    @pytest.mark.parametrize("shape", [(1, 0, 4, 4), (1, 2, 0, 4), (1, 2, 4, 0),
+                                       (0, 0, 4, 4), (0, 2, 0, 4)])
+    def test_rejects_zero_channels_or_spatial_size(self, shape):
+        with pytest.raises(ShapeError):
+            ops.bilinear_resize(Tensor(np.zeros(shape)), 5, 5)
 
 
 class TestElementwise:

@@ -1,9 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
 from segnext import ops
-from segnext.tensor import (GradTape, GraphError, ShapeError, Tensor, backward,
-                            recording)
+from segnext.encoder import preset
+from segnext.model import build_model
+from segnext.tensor import (CostSink, GradTape, GraphError, ShapeError, Tensor,
+                            backward, recording)
 
 
 def t(arr, grad=False):
@@ -63,9 +67,25 @@ class TestTapeLifecycle:
                 raise KeyError("boom")
         except KeyError:
             pass
-        # the module-global slot must be released
+        # the active-tape slot must be released
         with GradTape():
             assert recording()
+
+
+class TestThreads:
+    def test_forward_in_another_thread_is_neither_recorded_nor_charged(self):
+        model = build_model(preset("mscan-micro"), seed=0)
+        x = Tensor(np.random.default_rng(0).random((1, 3, 32, 32), dtype=np.float32))
+        layer_of = {id(e.tensor): e.name for e in model.parameters()}
+        outputs = []
+        worker = threading.Thread(target=lambda: outputs.append(model.forward(x)))
+        with GradTape() as tape, CostSink(layer_of) as sink:
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive() and len(outputs) == 1
+            assert len(tape) == 0 and sink.rows == {}
+            model.forward(x)  # the same forward in this thread is both
+            assert len(tape) > 0 and sink.rows
 
 
 class TestBackward:
