@@ -8,6 +8,7 @@ forward opened: ``encoder.stageS.blockB``, ``decoder`` or ``decoder.nmf``.
 """
 from __future__ import annotations
 
+import contextvars
 import os
 import time
 from dataclasses import dataclass
@@ -64,14 +65,22 @@ def count_params(model) -> int:
     return sum(e.tensor.size for e in model.parameters())
 
 
+def _charge_forward(model: SegModel, x: Tensor, layer_of: dict[int, str]) -> CostSink:
+    with CostSink(layer_of) as sink:
+        model.forward(x)
+    return sink
+
+
 def cost_report(model: SegModel, input_h: int, input_w: int) -> CostReport:
     """Per-layer costs of one ``input_h`` x ``input_w`` image; raises what
-    the forward raises for an input the model rejects."""
+    the forward raises for an input the model rejects.
+
+    The forward runs in a fresh context, so a caller's open tape or scope
+    sees none of it."""
     params = model.parameters()
     layer_of = {id(e.tensor): e.name.rpartition(".")[0] for e in params}
     x = Tensor(np.empty((0, 3, input_h, input_w), dtype=params[0].tensor.dtype))
-    with CostSink(layer_of) as sink:
-        model.forward(x)
+    sink = contextvars.Context().run(_charge_forward, model, x, layer_of)
     layers = [LayerCost(name, p, f) for name, (p, f) in sink.rows.items()]
     return CostReport(layers, input_h, input_w)
 

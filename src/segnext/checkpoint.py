@@ -12,6 +12,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config, serialize_config
 from .encoder import ConfigError
+from .imagefile import atomic_write
 from .model import SegModel, build_model
 from .train import OptimState
 
@@ -95,11 +96,7 @@ def save_checkpoint(model: SegModel, path, optim: OptimState | None = None,
             out += np.ascontiguousarray(optim.v[e.name], dtype="<f4").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
 
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(out)
-    os.replace(tmp, path)
+    atomic_write(path, out)
 
 
 @dataclass

@@ -2,7 +2,9 @@
 prediction maps. Maxval is fixed at 255; writes are atomic."""
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 
 import numpy as np
 
@@ -17,12 +19,28 @@ class ImageFormatError(ValueError):
     pass
 
 
-def _atomic_write(path, payload: bytes) -> None:
+# The process umask, which os.umask can only read by setting it; new files
+# get the mode a plain open() would give them.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def atomic_write(path, payload: bytes | bytearray) -> None:
+    """Write ``payload`` to ``path`` through a unique temp file in the same
+    directory and a rename, so ``path`` holds the old bytes or the new ones;
+    the temp file is removed if the write or the rename raises."""
     path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_tokens(buf: bytes, count: int) -> tuple[list[bytes], int]:
@@ -83,7 +101,7 @@ def write_ppm(path, image) -> None:
             f"cannot write shape {arr.shape} dtype {arr.dtype} as a color image"
         )
     h, w, _ = arr.shape
-    _atomic_write(path, b"P6\n%d %d\n255\n" % (w, h) + arr.tobytes())
+    atomic_write(path, b"P6\n%d %d\n255\n" % (w, h) + arr.tobytes())
 
 
 def read_ppm(path) -> Tensor:
@@ -114,7 +132,7 @@ def write_pgm(path, labels: np.ndarray) -> None:
     if arr.dtype != np.uint8:
         raise ImageFormatError(f"label map must be integer-typed, got {arr.dtype}")
     h, w = arr.shape
-    _atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + arr.tobytes())
+    atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + arr.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

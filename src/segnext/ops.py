@@ -354,8 +354,9 @@ def batchnorm2d(
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     m = n * h * w
-    if h * w == 0 or (training and n == 0):
-        raise ShapeError("batchnorm needs a non-empty batch and spatial extent")
+    if c * h * w == 0 or (training and n == 0):
+        raise ShapeError(f"batchnorm needs channels, spatial extent and (in training) "
+                         f"a non-empty batch, got shape {tuple(x.shape)}")
     _charge((x, gamma, beta), c * h * w)
 
     xd = x.data

@@ -175,9 +175,28 @@ def ms_flip_inference(model: SegModel, image: Tensor, scales=(1.0,),
     return Tensor(total / np.asarray(count, dtype=total.dtype))
 
 
+def _argmax_classes(logits: np.ndarray) -> np.ndarray:
+    """``np.argmax(logits, axis=0)`` for (K, H, W) logits, one (H, W) plane
+    at a time: numpy would first copy the whole array to put K last.
+
+    Strict ``>`` keeps the first maximum, as ``np.argmax`` does. A NaN
+    reaches ``best`` through ``np.maximum``; numpy picks the first NaN, so
+    such maps are left to ``np.argmax``."""
+    best = logits[0].copy()
+    index = np.zeros(best.shape, dtype=np.int64)
+    above = np.empty(best.shape, dtype=bool)
+    for k in range(1, logits.shape[0]):
+        np.greater(logits[k], best, out=above)
+        np.copyto(index, k, where=above)
+        np.maximum(best, logits[k], out=best)
+    if np.isnan(best).any():
+        return np.argmax(logits, axis=0)
+    return index
+
+
 def predict(model: SegModel, image: Tensor, scales=(1.0,), flip: bool = False) -> np.ndarray:
     logits = ms_flip_inference(model, image, scales, flip)
-    return np.argmax(logits.data[0], axis=0)
+    return _argmax_classes(logits.data[0])
 
 
 def evaluate(model: SegModel, samples: list[SegSample], num_classes: int,

@@ -11,6 +11,7 @@ from segnext.analysis import (CONVENTION, bench_latency, cost_report,
 from segnext.decoder import build_decoder
 from segnext.encoder import StageConfig, build_encoder, preset
 from segnext.model import SegModel, build_model
+from segnext.tensor import GradTape
 
 MICRO = preset("mscan-micro")
 
@@ -180,6 +181,14 @@ class TestReport:
     def test_every_variant_reports_positive_costs(self, variant):
         rep = cost_report(micro_model(variant), 64, 64)
         assert rep.total_params > 0 and rep.total_flops > 0
+
+    def test_leaves_caller_tape_untouched(self):
+        m = micro_model()
+        want = cost_report(m, 64, 64)
+        with GradTape() as tape:
+            got = cost_report(m, 64, 64)
+        assert len(tape) == 0
+        assert got.layers == want.layers
 
     def test_machine_lines_format(self):
         rep = cost_report(micro_model(), 64, 64)

@@ -1,5 +1,6 @@
 """Checkpoint binary format: bitwise round-trips, integrity checking, and
 size arithmetic."""
+import os
 import struct
 
 import numpy as np
@@ -185,4 +186,18 @@ class TestSize:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         save_checkpoint(model, path)  # overwrite in place
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_failed_replace_keeps_old_file_and_no_temp(self, model, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"old checkpoint")
+
+        def fail_replace(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="simulated"):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == b"old checkpoint"
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -1,5 +1,8 @@
 """Binary PPM/PGM image I/O: round-trips, header handling, and malformed
 input rejection."""
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,29 @@ class TestPgm:
             write_pgm(tmp_path / "x.pgm", np.array([[300]]))
         with pytest.raises(ImageFormatError):
             write_pgm(tmp_path / "x.pgm", np.array([[-1]]))
+
+
+class TestAtomicWrite:
+    def test_failed_replace_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.pgm"
+        write_pgm(path, np.array([[1, 2]]))
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="simulated"):
+            write_pgm(path, np.array([[3, 4]]))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.pgm"]
+
+    def test_new_file_gets_the_mode_open_would_give(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "x.pgm"
+        write_pgm(path, np.array([[1]]))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 class TestMalformed:

@@ -143,6 +143,14 @@ class TestBatchNorm:
             ops.batchnorm2d(Tensor(np.zeros(shape)), bn.gamma, bn.beta,
                             bn.running_mean, bn.running_var, 1e-5, training, 0.1)
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 0, 4, 4), (0, 0, 4, 4)])
+    def test_rejects_zero_channels(self, training, shape):
+        bn = make_bn(0)
+        with pytest.raises(ShapeError):
+            ops.batchnorm2d(Tensor(np.zeros(shape)), bn.gamma, bn.beta,
+                            bn.running_mean, bn.running_var, 1e-5, training, 0.1)
+
 
 class TestActivations:
     def test_gelu_exact_values(self):

@@ -1,11 +1,13 @@
 """Optimizer, schedule, metric, inference-protocol, and training-loop
 contracts, checked against scalar oracles."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segnext import ops
 from segnext.data import synth_dataset
@@ -14,8 +16,8 @@ from segnext.model import ParamEntry, build_model
 from segnext.tensor import Tensor
 from segnext.train import (IouResult, LrSchedule, OptimState, TrainingDiverged,
                            adamw_step, confusion, cross_entropy, evaluate,
-                           init_optim, miou, ms_flip_inference, poly_lr,
-                           predict, train)
+                           _argmax_classes, init_optim, miou,
+                           ms_flip_inference, poly_lr, predict, train)
 
 from oracles import adamw_scalar_oracle, confusion_loops, miou_from_confusion
 
@@ -254,6 +256,70 @@ class TestMsFlip:
         assert out.shape == (64, 64)
         assert out.dtype == np.int64
         assert out.min() >= 0 and out.max() < 3
+
+
+def _logits(k, h=5, w=7, seed=0, dtype=np.float32):
+    return np.random.default_rng(seed).standard_normal((k, h, w)).astype(dtype)
+
+
+class TestArgmaxClasses:
+    """``_argmax_classes`` must equal ``np.argmax(axis=0)`` bit for bit."""
+
+    @staticmethod
+    def check(logits):
+        got = _argmax_classes(logits)
+        want = np.argmax(logits, axis=0)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3, 150])
+    def test_random_logits(self, k, dtype):
+        self.check(_logits(k, 17, 23, seed=k, dtype=dtype))
+
+    def test_single_class(self):
+        self.check(_logits(1))
+
+    def test_all_equal_planes(self):
+        self.check(np.full((6, 4, 5), 0.25, dtype=np.float32))
+
+    @pytest.mark.parametrize("tied", [(0, 3), (3, 6), (0, 6), (0, 3, 6)])
+    def test_ties_take_the_first_class(self, tied):
+        logits = _logits(7)
+        logits[list(tied), 1:4, 2:5] = 10.0
+        self.check(logits)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinities(self, value):
+        logits = _logits(5)
+        logits[2, 0, :] = value
+        logits[4, 0, 2:] = value
+        logits[:, 1, 1] = value
+        self.check(logits)
+
+    @pytest.mark.parametrize("nan_at", [0, 2, 4])
+    def test_nan_wins_at_its_class(self, nan_at):
+        logits = _logits(5)
+        logits[nan_at, 1, 1] = np.nan
+        logits[4, 2, :] = np.nan
+        self.check(logits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 4),
+                                        st.integers(1, 4)),
+                  elements=st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan])))
+    def test_matches_numpy_on_tie_heavy_inputs(self, logits):
+        self.check(logits)
+
+    def test_allocates_far_less_than_the_logits(self):
+        logits = _logits(150, 64, 64)
+        tracemalloc.start()
+        try:
+            _argmax_classes(logits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < logits.nbytes / 4
 
 
 class TestTrainLoop:
