@@ -2,7 +2,7 @@
 self-contained autodiff engine, cost analysis, and a synthetic-data
 training harness."""
 
-from .analysis import CostReport, bench_latency, cost_report, count_flops, count_params
+from .analysis import CostReport, cost_report, count_flops, count_params
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import DataParams, RunConfig, TrainParams, parse_config, serialize_config
 from .data import SegSample, augment, synth_dataset, target_mix
@@ -18,7 +18,7 @@ from .train import (IouResult, LrSchedule, OptimState, TrainingDiverged,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostReport", "bench_latency", "cost_report", "count_flops", "count_params",
+    "CostReport", "cost_report", "count_flops", "count_params",
     "CheckpointError", "load_checkpoint", "save_checkpoint",
     "DataParams", "RunConfig", "TrainParams", "parse_config", "serialize_config",
     "SegSample", "augment", "synth_dataset", "target_mix",

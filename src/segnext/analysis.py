@@ -9,8 +9,6 @@ forward opened: ``encoder.stageS.blockB``, ``decoder`` or ``decoder.nmf``.
 from __future__ import annotations
 
 import contextvars
-import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,50 +85,3 @@ def cost_report(model: SegModel, input_h: int, input_w: int) -> CostReport:
 
 def count_flops(model: SegModel, input_h: int, input_w: int) -> int:
     return cost_report(model, input_h, input_w).total_flops
-
-
-@dataclass
-class LatencyStats:
-    median_ms: float
-    p90_ms: float
-    reps: int
-    warmup: int
-    cpu_count: int
-    thread_env: dict[str, str]
-
-    def __str__(self) -> str:
-        env = ", ".join(f"{k}={v}" for k, v in self.thread_env.items()) or "unset"
-        return (
-            f"median {self.median_ms:.2f} ms  p90 {self.p90_ms:.2f} ms  "
-            f"({self.reps} reps, {self.warmup} warmup, {self.cpu_count} cpus, {env})"
-        )
-
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def bench_latency(model: SegModel, input_h: int, input_w: int,
-                  warmup: int = 1, reps: int = 5, seed: int = 0) -> LatencyStats:
-    """Wall-clock single-image forward latency; informational only."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.random((1, 3, input_h, input_w), dtype=np.float32))
-    for _ in range(warmup):
-        model.forward(x)
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        model.forward(x)
-        times.append((time.perf_counter() - t0) * 1000.0)
-    arr = np.asarray(times)
-    return LatencyStats(
-        median_ms=float(np.median(arr)),
-        p90_ms=float(np.percentile(arr, 90)),
-        reps=reps,
-        warmup=warmup,
-        cpu_count=os.cpu_count() or 1,
-        thread_env={k: os.environ[k] for k in _THREAD_VARS if k in os.environ},
-    )

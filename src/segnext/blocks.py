@@ -21,6 +21,7 @@ with learnable per-channel layer scales ls1/ls2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +51,23 @@ class BatchNorm:
     momentum: float = 0.1
 
 
+class StripPair(NamedTuple):
+    """A (1,k) horizontal then (k,1) vertical depthwise strip."""
+
+    h: ConvLayer
+    v: ConvLayer
+
+
 @dataclass
 class MscaParams:
     """Weights of one attention unit over C channels.
 
-    ``branches`` holds ((1,k), (k,1)) depthwise strip pairs; three pairs with
-    k = 7/11/21 in multi-scale mode, a single k = 21 pair otherwise.
+    ``branches`` holds depthwise strip pairs; three pairs with k = 7/11/21 in
+    multi-scale mode, a single k = 21 pair otherwise.
     """
 
     local_dw: ConvLayer
-    branches: list[tuple[ConvLayer, ConvLayer]]
+    branches: list[StripPair]
     channel_mix: ConvLayer
     multi_scale: bool = True
 
@@ -119,7 +127,7 @@ def make_msca(rng: np.random.Generator, channels: int, multi_scale: bool = True,
               dtype=np.float32) -> MscaParams:
     kernels = STRIP_KERNELS if multi_scale else STRIP_KERNELS[-1:]
     branches = [
-        (
+        StripPair(
             make_conv(rng, _dw(channels, (1, k)), dtype),
             make_conv(rng, _dw(channels, (k, 1)), dtype),
         )

@@ -1,6 +1,6 @@
-"""Command-line front end: build, analyze, train, eval, infer, bench, and
-ablate. Every failure prints a single `error: ...` line and exits nonzero;
-all randomness flows from the config seed."""
+"""Command-line front end: build, analyze, train, eval, infer, and ablate.
+Every failure prints a single `error: ...` line and exits nonzero; all
+randomness flows from the config seed."""
 from __future__ import annotations
 
 import argparse
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import analysis
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import RunConfig, parse_config, serialize_config
+from .config import RunConfig, parse_config
 from .data import synth_dataset
 from .encoder import ConfigError
 from .imagefile import ImageFormatError, read_ppm, write_pgm
@@ -151,15 +151,6 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rc = _load_config(args.config)
-    model = build_model(rc.model, rc.seed)
-    h, w = _parse_size(args.input_size)
-    stats = analysis.bench_latency(model, h, w, warmup=args.warmup, reps=args.reps)
-    print(stats)
-    return 0
-
-
 def _cmd_ablate(args) -> int:
     rc = _load_config(args.config)
     overrides = {}
@@ -219,13 +210,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_infer)
-
-    p = sub.add_parser("bench", help="forward-latency measurement")
-    p.add_argument("config")
-    p.add_argument("--input-size", default="256x256")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--warmup", type=int, default=1)
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("ablate", help="train a modified decoder/attention variant")
     p.add_argument("config")

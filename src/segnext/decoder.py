@@ -111,6 +111,18 @@ class HamParams:
     seed: int
     include_stage1: bool = False
 
+    def logits(self, feats: EncoderFeatures, training: bool) -> Tensor:
+        maps = list(feats.maps) if self.include_stage1 else list(feats.maps[1:])
+        x = conv(_gather(maps), self.pre_proj)
+        x = ops.relu(x)
+        n, c, h, w = x.shape
+        recon = _nmf_reconstruct_tensor(
+            ops.reshape(x, (n, 1, c, h * w)), self.rank, self.iters, self.seed
+        )
+        y = conv(ops.reshape(recon, (n, c, h, w)), self.post_proj)
+        x = ops.add(x, y)
+        return conv(x, self.classifier)
+
 
 @dataclass
 class MlpDecoderParams:
@@ -119,6 +131,11 @@ class MlpDecoderParams:
     projs: list[ConvLayer]
     fuse: ConvLayer
     classifier: ConvLayer
+
+    def logits(self, feats: EncoderFeatures, training: bool) -> Tensor:
+        projected = [conv(m, layer) for m, layer in zip(feats.maps, self.projs)]
+        x = conv(_gather(projected), self.fuse)
+        return conv(x, self.classifier)
 
 
 @dataclass
@@ -131,7 +148,14 @@ class CoreDecoderParams:
     refine_norm2: BatchNorm
     classifier: ConvLayer
 
+    def logits(self, feats: EncoderFeatures, training: bool) -> Tensor:
+        x = ops.gelu(norm(conv(feats.f4, self.refine1), self.refine_norm1, training))
+        x = ops.gelu(norm(conv(x, self.refine2), self.refine_norm2, training))
+        return conv(x, self.classifier)
 
+
+# Each variant's ``logits(feats, training)`` classifies on its own grid;
+# decoder_forward upsamples the result to the input extent.
 DecoderParams = HamParams | MlpDecoderParams | CoreDecoderParams
 
 
@@ -176,50 +200,15 @@ def _check_batch(feats: EncoderFeatures) -> int:
     return ns.pop()
 
 
-def _gather(feats: EncoderFeatures, maps: list[Tensor]) -> Tensor:
+def _gather(maps: list[Tensor]) -> Tensor:
     """Resize ``maps`` onto the first entry's grid and concatenate."""
     _, _, gh, gw = maps[0].shape
     resized = [maps[0]] + [ops.bilinear_resize(m, gh, gw) for m in maps[1:]]
     return ops.concat_channels(resized)
 
 
-def ham_decoder_forward(feats: EncoderFeatures, p: HamParams, training: bool = False) -> Tensor:
-    _check_batch(feats)
-    maps = list(feats.maps) if p.include_stage1 else list(feats.maps[1:])
-    x = conv(_gather(feats, maps), p.pre_proj)
-    x = ops.relu(x)
-    n, c, h, w = x.shape
-    recon = _nmf_reconstruct_tensor(
-        ops.reshape(x, (n, 1, c, h * w)), p.rank, p.iters, p.seed
-    )
-    y = conv(ops.reshape(recon, (n, c, h, w)), p.post_proj)
-    x = ops.add(x, y)
-    logits = conv(x, p.classifier)
-    return ops.bilinear_resize(logits, feats.input_h, feats.input_w)
-
-
-def mlp_decoder_forward(feats: EncoderFeatures, p: MlpDecoderParams,
-                        training: bool = False) -> Tensor:
-    _check_batch(feats)
-    projected = [conv(m, layer) for m, layer in zip(feats.maps, p.projs)]
-    x = conv(_gather(feats, projected), p.fuse)
-    logits = conv(x, p.classifier)
-    return ops.bilinear_resize(logits, feats.input_h, feats.input_w)
-
-
-def core_decoder_forward(feats: EncoderFeatures, p: CoreDecoderParams,
-                         training: bool = False) -> Tensor:
-    _check_batch(feats)
-    x = ops.gelu(norm(conv(feats.f4, p.refine1), p.refine_norm1, training))
-    x = ops.gelu(norm(conv(x, p.refine2), p.refine_norm2, training))
-    logits = conv(x, p.classifier)
-    return ops.bilinear_resize(logits, feats.input_h, feats.input_w)
-
-
 @scope("decoder")
 def decoder_forward(feats: EncoderFeatures, p: DecoderParams, training: bool = False) -> Tensor:
-    if isinstance(p, HamParams):
-        return ham_decoder_forward(feats, p, training)
-    if isinstance(p, MlpDecoderParams):
-        return mlp_decoder_forward(feats, p, training)
-    return core_decoder_forward(feats, p, training)
+    """Logits of ``p``'s variant, upsampled to the input extent."""
+    _check_batch(feats)
+    return ops.bilinear_resize(p.logits(feats, training), feats.input_h, feats.input_w)

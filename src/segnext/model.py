@@ -1,28 +1,22 @@
 """Assembled segmentation model and its flat parameter registry.
 
-The registry is an ordered list of named entries, one per learnable tensor,
-walked in construction order. Entry order is the contract for optimizer
-state and checkpoint layout. Non-learnable normalization statistics are
-exposed separately as buffers.
+The registry is one walk over the params dataclasses in field declaration
+order: every Tensor leaf is a parameter, every numpy array a buffer
+(non-learnable normalization statistics). An entry is named by the path of
+fields leading to it; list items are named from ``_ITEM_NAMES``. Entry order
+is the contract for optimizer state and checkpoint layout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .blocks import BatchNorm, BlockParams, ConvLayer, MscaParams
-from .decoder import (
-    CoreDecoderParams,
-    DecoderParams,
-    HamParams,
-    MlpDecoderParams,
-    build_decoder,
-    decoder_forward,
-)
+from .blocks import ConvLayer, make_conv
+from .decoder import DecoderParams, build_decoder, decoder_forward
 from .encoder import Encoder, ModelConfig, build_encoder, encoder_forward
-from .initializers import trunc_normal
+from .ops import ConvSpec
 from .tensor import Tensor
 
 
@@ -30,7 +24,7 @@ from .tensor import Tensor
 class ParamEntry:
     name: str
     tensor: Tensor
-    decay: bool  # weight-decay eligible (conv/linear weights only)
+    decay: bool  # weight-decay eligible: exactly the entries named ``*.weight``
 
 
 @dataclass
@@ -39,89 +33,56 @@ class BufferEntry:
     array: np.ndarray
 
 
-def _conv_entries(prefix: str, layer: ConvLayer) -> Iterator[ParamEntry]:
-    yield ParamEntry(f"{prefix}.weight", layer.weight, decay=True)
-    if layer.bias is not None:
-        yield ParamEntry(f"{prefix}.bias", layer.bias, decay=False)
+# List field -> (item name stem, index of the first item).
+_ITEM_NAMES = {
+    "stages": ("stage", 1),
+    "downsample": ("down", 0),
+    "blocks": ("block", 0),
+    "branches": ("branch", 0),
+    "projs": ("proj", 0),
+}
 
 
-def _norm_entries(prefix: str, bn: BatchNorm) -> Iterator[ParamEntry]:
-    yield ParamEntry(f"{prefix}.gamma", bn.gamma, decay=False)
-    yield ParamEntry(f"{prefix}.beta", bn.beta, decay=False)
-
-
-def _msca_entries(prefix: str, p: MscaParams) -> Iterator[ParamEntry]:
-    yield from _conv_entries(f"{prefix}.local_dw", p.local_dw)
-    for i, (horiz, vert) in enumerate(p.branches):
-        yield from _conv_entries(f"{prefix}.branch{i}.h", horiz)
-        yield from _conv_entries(f"{prefix}.branch{i}.v", vert)
-    yield from _conv_entries(f"{prefix}.channel_mix", p.channel_mix)
-
-
-def _block_entries(prefix: str, b: BlockParams) -> Iterator[ParamEntry]:
-    yield from _norm_entries(f"{prefix}.norm1", b.norm1)
-    yield from _conv_entries(f"{prefix}.attn_in", b.attn_in)
-    yield from _msca_entries(f"{prefix}.attn", b.attn)
-    yield from _conv_entries(f"{prefix}.attn_out", b.attn_out)
-    yield from _norm_entries(f"{prefix}.norm2", b.norm2)
-    yield from _conv_entries(f"{prefix}.ffn_expand", b.ffn_expand)
-    yield from _conv_entries(f"{prefix}.ffn_dw", b.ffn_dw)
-    yield from _conv_entries(f"{prefix}.ffn_project", b.ffn_project)
-    yield ParamEntry(f"{prefix}.layer_scale1", b.layer_scale1, decay=False)
-    yield ParamEntry(f"{prefix}.layer_scale2", b.layer_scale2, decay=False)
-
-
-def encoder_param_entries(enc: Encoder, prefix: str = "encoder") -> Iterator[ParamEntry]:
-    for si, stage in enumerate(enc.stages, start=1):
-        sp = f"{prefix}.stage{si}"
-        for di, down in enumerate(stage.downsample):
-            yield from _conv_entries(f"{sp}.down{di}.conv", down.conv)
-            yield from _norm_entries(f"{sp}.down{di}.norm", down.norm)
-        for bi, block in enumerate(stage.blocks):
-            yield from _block_entries(f"{sp}.block{bi}", block)
-
-
-def decoder_param_entries(dec: DecoderParams, prefix: str = "decoder") -> Iterator[ParamEntry]:
-    if isinstance(dec, HamParams):
-        yield from _conv_entries(f"{prefix}.pre_proj", dec.pre_proj)
-        yield from _conv_entries(f"{prefix}.post_proj", dec.post_proj)
-        yield from _conv_entries(f"{prefix}.classifier", dec.classifier)
-    elif isinstance(dec, MlpDecoderParams):
-        for i, proj in enumerate(dec.projs):
-            yield from _conv_entries(f"{prefix}.proj{i}", proj)
-        yield from _conv_entries(f"{prefix}.fuse", dec.fuse)
-        yield from _conv_entries(f"{prefix}.classifier", dec.classifier)
+def _children(node) -> list[tuple[str, object]]:
+    if is_dataclass(node):
+        pairs = [(f.name, getattr(node, f.name)) for f in fields(node)]
+    elif hasattr(node, "_fields"):  # NamedTuple
+        pairs = list(zip(node._fields, node))
     else:
-        yield from _conv_entries(f"{prefix}.refine1", dec.refine1)
-        yield from _norm_entries(f"{prefix}.refine_norm1", dec.refine_norm1)
-        yield from _conv_entries(f"{prefix}.refine2", dec.refine2)
-        yield from _norm_entries(f"{prefix}.refine_norm2", dec.refine_norm2)
-        yield from _conv_entries(f"{prefix}.classifier", dec.classifier)
+        return []
+    named = []
+    for name, value in pairs:
+        if isinstance(value, list):
+            stem, first = _ITEM_NAMES[name]
+            named += [(f"{stem}{i}", item) for i, item in enumerate(value, start=first)]
+        else:
+            named.append((name, value))
+    return named
 
 
-def _norm_buffers(prefix: str, bn: BatchNorm) -> Iterator[BufferEntry]:
-    yield BufferEntry(f"{prefix}.running_mean", bn.running_mean)
-    yield BufferEntry(f"{prefix}.running_var", bn.running_var)
+def _registry(node, prefix: str = "") -> Iterator[ParamEntry | BufferEntry]:
+    for name, value in _children(node):
+        path = prefix + name
+        if isinstance(value, Tensor):
+            yield ParamEntry(path, value, decay=path.endswith(".weight"))
+        elif isinstance(value, np.ndarray):
+            yield BufferEntry(path, value)
+        else:
+            yield from _registry(value, path + ".")
 
 
-def encoder_buffer_entries(enc: Encoder, prefix: str = "encoder") -> Iterator[BufferEntry]:
-    for si, stage in enumerate(enc.stages, start=1):
-        sp = f"{prefix}.stage{si}"
-        for di, down in enumerate(stage.downsample):
-            yield from _norm_buffers(f"{sp}.down{di}.norm", down.norm)
-        for bi, block in enumerate(stage.blocks):
-            yield from _norm_buffers(f"{sp}.block{bi}.norm1", block.norm1)
-            yield from _norm_buffers(f"{sp}.block{bi}.norm2", block.norm2)
+class _Registered:
+    """``parameters()`` and ``buffers()`` of a params dataclass, by the walk."""
 
+    def parameters(self) -> list[ParamEntry]:
+        return [e for e in _registry(self) if isinstance(e, ParamEntry)]
 
-def decoder_buffer_entries(dec: DecoderParams, prefix: str = "decoder") -> Iterator[BufferEntry]:
-    if isinstance(dec, CoreDecoderParams):
-        yield from _norm_buffers(f"{prefix}.refine_norm1", dec.refine_norm1)
-        yield from _norm_buffers(f"{prefix}.refine_norm2", dec.refine_norm2)
+    def buffers(self) -> list[BufferEntry]:
+        return [e for e in _registry(self) if isinstance(e, BufferEntry)]
 
 
 @dataclass
-class SegModel:
+class SegModel(_Registered):
     cfg: ModelConfig
     encoder: Encoder
     decoder: DecoderParams
@@ -132,33 +93,13 @@ class SegModel:
         feats = encoder_forward(self.encoder, x, training, rng)
         return decoder_forward(feats, self.decoder, training)
 
-    def parameters(self) -> list[ParamEntry]:
-        return list(encoder_param_entries(self.encoder)) + list(
-            decoder_param_entries(self.decoder)
-        )
-
-    def buffers(self) -> list[BufferEntry]:
-        return list(encoder_buffer_entries(self.encoder)) + list(
-            decoder_buffer_entries(self.decoder)
-        )
-
 
 @dataclass
-class ImageClassifier:
+class ImageClassifier(_Registered):
     """Encoder plus a linear head; exists to cost the encoder on its own."""
 
     encoder: Encoder
-    head_weight: Tensor  # (num_classes, C4, 1, 1), applied after global pooling
-    head_bias: Tensor
-
-    def parameters(self) -> list[ParamEntry]:
-        return list(encoder_param_entries(self.encoder)) + [
-            ParamEntry("head.weight", self.head_weight, decay=True),
-            ParamEntry("head.bias", self.head_bias, decay=False),
-        ]
-
-    def buffers(self) -> list[BufferEntry]:
-        return list(encoder_buffer_entries(self.encoder))
+    head: ConvLayer  # 1x1 to num_classes, applied after global pooling
 
 
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> SegModel:
@@ -173,10 +114,8 @@ def build_classifier(cfg: ModelConfig, seed: int, num_classes: int = 1000,
     ss = np.random.SeedSequence(seed).spawn(2)
     enc = build_encoder(cfg, _seed_of(ss[0]), dtype)
     rng = np.random.default_rng(ss[1])
-    c4 = cfg.channels[3]
-    weight = Tensor(trunc_normal(rng, (num_classes, c4, 1, 1), dtype=dtype), requires_grad=True)
-    bias = Tensor(np.zeros((1, num_classes, 1, 1), dtype=dtype), requires_grad=True)
-    return ImageClassifier(enc, weight, bias)
+    head = make_conv(rng, ConvSpec(num_classes, cfg.channels[3], (1, 1)), dtype)
+    return ImageClassifier(enc, head)
 
 
 def _seed_of(ss: np.random.SeedSequence) -> int:

@@ -1,13 +1,10 @@
 """Cost analyzer: totals against a golden table, closed-form layer
-arithmetic on named rows, row naming, scaling behavior, and the latency
-bench's contract."""
+arithmetic on named rows, row naming, and scaling behavior."""
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from segnext.analysis import (CONVENTION, bench_latency, cost_report,
-                              count_flops, count_params)
+from segnext.analysis import CONVENTION, cost_report, count_flops, count_params
 from segnext.decoder import build_decoder
 from segnext.encoder import StageConfig, build_encoder, preset
 from segnext.model import SegModel, build_model
@@ -218,22 +215,3 @@ class TestPresetScaling:
         assert params == sorted(params) and len(set(params)) == 4
         assert flops == sorted(flops) and len(set(flops)) == 4
 
-
-class TestLatencyBench:
-    def test_rejects_bad_reps_and_warmup(self):
-        m = micro_model()
-        with pytest.raises(ValueError):
-            bench_latency(m, 64, 64, reps=0)
-        with pytest.raises(ValueError):
-            bench_latency(m, 64, 64, warmup=-1)
-
-    def test_single_rep_positive_and_finite(self):
-        stats = bench_latency(micro_model(), 64, 64, warmup=0, reps=1)
-        assert stats.median_ms > 0 and np.isfinite(stats.median_ms)
-        assert stats.reps == 1
-
-    def test_median_not_above_p90(self):
-        stats = bench_latency(micro_model(), 64, 64, warmup=1, reps=5)
-        assert stats.median_ms <= stats.p90_ms
-        text = str(stats)
-        assert "median" in text and "p90" in text

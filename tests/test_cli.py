@@ -138,13 +138,6 @@ class TestTrainEvalInfer:
 
 
 class TestBenchAblate:
-    def test_bench_reports_latency(self, cfg_path, capsys):
-        code, out, _ = run(capsys, "bench", cfg_path,
-                           "--input-size", "64x64", "--reps", "2",
-                           "--warmup", "0")
-        assert code == 0
-        assert "median" in out and "p90" in out
-
     def test_ablate_overrides_and_trains(self, cfg_path, tmp_path, capsys):
         code, out, err = run(capsys, "ablate", cfg_path, "--decoder", "b",
                              "--no-msca")
