@@ -96,10 +96,13 @@ def norm(x: Tensor, bn: BatchNorm, training: bool) -> Tensor:
     )
 
 
-def make_conv(rng: np.random.Generator, spec: ConvSpec, dtype=np.float32) -> ConvLayer:
-    """Initialized conv layer: truncated normal for 1x1, fan-out normal else."""
+def make_conv(rng: np.random.Generator | None, spec: ConvSpec, dtype=np.float32) -> ConvLayer:
+    """Initialized conv layer: truncated normal for 1x1, fan-out normal else;
+    zero weights without a generator, for a checkpoint to overwrite."""
     shape = spec.weight_shape
-    if spec.kernel == (1, 1):
+    if rng is None:
+        w = np.zeros(shape, dtype=dtype)
+    elif spec.kernel == (1, 1):
         w = trunc_normal(rng, shape, std=0.02, dtype=dtype)
     else:
         w = fan_out_normal(rng, shape, groups=spec.groups, dtype=dtype)
@@ -123,7 +126,7 @@ def _dw(channels: int, kernel: tuple[int, int]) -> ConvSpec:
     return ConvSpec(channels, channels, kernel, groups=channels)
 
 
-def make_msca(rng: np.random.Generator, channels: int, multi_scale: bool = True,
+def make_msca(rng: np.random.Generator | None, channels: int, multi_scale: bool = True,
               dtype=np.float32) -> MscaParams:
     kernels = STRIP_KERNELS if multi_scale else STRIP_KERNELS[-1:]
     branches = [
@@ -141,7 +144,7 @@ def make_msca(rng: np.random.Generator, channels: int, multi_scale: bool = True,
     )
 
 
-def make_block(rng: np.random.Generator, channels: int, expansion: int,
+def make_block(rng: np.random.Generator | None, channels: int, expansion: int,
                multi_scale: bool = True, dtype=np.float32) -> BlockParams:
     hidden = channels * expansion
     ls = np.full((1, channels, 1, 1), LAYER_SCALE_INIT, dtype=dtype)

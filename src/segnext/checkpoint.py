@@ -35,19 +35,19 @@ def _pack_array(out: bytearray, name: str, arr: np.ndarray) -> None:
     out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
-def _utf8(raw: bytes, what: str) -> str:
+def _utf8(raw: memoryview, what: str) -> str:
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{what} is not valid UTF-8: {exc}") from None
 
 
 class _Reader:
-    def __init__(self, buf: bytes) -> None:
+    def __init__(self, buf: memoryview) -> None:
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointError("truncated checkpoint")
         chunk = self.buf[self.pos:self.pos + n]
@@ -58,6 +58,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self) -> tuple[str, np.ndarray]:
+        """Name and a read-only view of the next array in the buffer."""
         (name_len,) = self.unpack("<H")
         name = _utf8(self.take(name_len), "array name")
         (ndim,) = self.unpack("<B")
@@ -65,8 +66,7 @@ class _Reader:
         count = 1
         for d in shape:
             count *= d
-        data = np.frombuffer(self.take(count * 4), dtype="<f4").reshape(shape)
-        return name, data.astype(np.float32)
+        return name, np.frombuffer(self.take(count * 4), dtype="<f4").reshape(shape)
 
 
 def save_checkpoint(model: SegModel, path, optim: OptimState | None = None,
@@ -80,11 +80,10 @@ def save_checkpoint(model: SegModel, path, optim: OptimState | None = None,
     cfg_bytes = serialize_config(run_cfg).encode("utf-8")
     out += struct.pack("<I", len(cfg_bytes))
     out += cfg_bytes
-    params = model.parameters()
+    params, buffers = model.registry()
     out += struct.pack("<I", len(params))
     for e in params:
         _pack_array(out, e.name, e.tensor.data)
-    buffers = model.buffers()
     out += struct.pack("<I", len(buffers))
     for b in buffers:
         _pack_array(out, b.name, b.array)
@@ -113,13 +112,14 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise CheckpointError("not a model checkpoint (bad magic bytes)")
     if len(raw) < 8:
         raise CheckpointError("truncated checkpoint")
+    body = memoryview(raw)[:-4]
     stored_crc = struct.unpack("<I", raw[-4:])[0]
-    actual_crc = zlib.crc32(raw[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(body) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise CheckpointError(
             f"checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
-    r = _Reader(raw[:-4])
+    r = _Reader(body)
     r.take(4)  # magic
     version, flags, model_seed = r.unpack("<IIQ")
     if version != VERSION:
@@ -133,8 +133,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     except ConfigError as exc:
         raise CheckpointError(f"config text is not a valid config: {exc}") from exc
 
-    model = build_model(run_cfg.model, int(model_seed))
-    params = model.parameters()
+    # Every weight is overwritten below, so nothing is drawn for it.
+    model = build_model(run_cfg.model, int(model_seed), init=False)
+    params, buffers = model.registry()
     (n_params,) = r.unpack("<I")
     if n_params != len(params):
         raise CheckpointError(
@@ -149,7 +150,6 @@ def load_checkpoint(path) -> LoadedCheckpoint:
                 f"parameter {name!r} has shape {data.shape}, expected {e.tensor.data.shape}"
             )
         e.tensor.data[...] = data
-    buffers = model.buffers()
     (n_buffers,) = r.unpack("<I")
     if n_buffers != len(buffers):
         raise CheckpointError(

@@ -159,8 +159,11 @@ class CoreDecoderParams:
 DecoderParams = HamParams | MlpDecoderParams | CoreDecoderParams
 
 
-def build_decoder(cfg: ModelConfig, seed: int, dtype=np.float32) -> DecoderParams:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+def build_decoder(cfg: ModelConfig, seed: int, dtype=np.float32,
+                  init: bool = True) -> DecoderParams:
+    """``init=False`` leaves conv weights zero; the NMF seed is still drawn."""
+    stream = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream if init else None
     chans = cfg.channels
     dim = cfg.decoder_dim
     k = cfg.num_classes
@@ -181,7 +184,7 @@ def build_decoder(cfg: ModelConfig, seed: int, dtype=np.float32) -> DecoderParam
     cat = sum(chans[1:]) if not cfg.include_stage1_in_decoder else sum(chans)
     # The factor init draws from the builder stream so different build seeds
     # decorrelate, but stays frozen per model thereafter.
-    nmf_seed = int(rng.integers(0, 2**31 - 1))
+    nmf_seed = int(stream.integers(0, 2**31 - 1))
     return HamParams(
         pre_proj=make_conv(rng, ConvSpec(dim, cat, (1, 1)), dtype),
         post_proj=make_conv(rng, ConvSpec(dim, dim, (1, 1)), dtype),

@@ -162,10 +162,10 @@ def _down_spec(in_c: int, out_c: int) -> ConvSpec:
     return ConvSpec(out_c, in_c, (3, 3), stride=(2, 2), padding=(1, 1))
 
 
-def build_encoder(cfg: ModelConfig, seed: int, dtype=np.float32) -> Encoder:
+def build_encoder(cfg: ModelConfig, seed: int, dtype=np.float32, init: bool = True) -> Encoder:
     """Deterministically initialized encoder; equal seeds build bitwise-equal
-    parameters."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parameters. ``init=False`` leaves conv weights zero and draws nothing."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed)) if init else None
     stages: list[Stage] = []
     prev = 3
     for i, sc in enumerate(cfg.stages):

@@ -9,7 +9,7 @@ is the contract for optimizer state and checkpoint layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterator
+from functools import cache
 
 import numpy as np
 
@@ -43,42 +43,53 @@ _ITEM_NAMES = {
 }
 
 
-def _children(node) -> list[tuple[str, object]]:
-    if is_dataclass(node):
-        pairs = [(f.name, getattr(node, f.name)) for f in fields(node)]
-    elif hasattr(node, "_fields"):  # NamedTuple
-        pairs = list(zip(node._fields, node))
-    else:
-        return []
-    named = []
-    for name, value in pairs:
+# Config values held inside the params dataclasses; the walk does not enter them.
+_CONFIG_LEAVES = (ConvSpec, ModelConfig)
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Fields the walk descends into; empty for leaves that hold no tensor."""
+    if issubclass(cls, _CONFIG_LEAVES):
+        return ()
+    if is_dataclass(cls):
+        return tuple(f.name for f in fields(cls))
+    return getattr(cls, "_fields", ())  # NamedTuple
+
+
+def _walk(node, prefix: str, params: list[ParamEntry], buffers: list[BufferEntry]) -> None:
+    for name in _field_names(type(node)):
+        value = getattr(node, name)
         if isinstance(value, list):
             stem, first = _ITEM_NAMES[name]
-            named += [(f"{stem}{i}", item) for i, item in enumerate(value, start=first)]
+            named = [(f"{stem}{i}", item) for i, item in enumerate(value, start=first)]
         else:
-            named.append((name, value))
-    return named
-
-
-def _registry(node, prefix: str = "") -> Iterator[ParamEntry | BufferEntry]:
-    for name, value in _children(node):
-        path = prefix + name
-        if isinstance(value, Tensor):
-            yield ParamEntry(path, value, decay=path.endswith(".weight"))
-        elif isinstance(value, np.ndarray):
-            yield BufferEntry(path, value)
-        else:
-            yield from _registry(value, path + ".")
+            named = [(name, value)]
+        for key, item in named:
+            path = prefix + key
+            if isinstance(item, Tensor):
+                params.append(ParamEntry(path, item, decay=path.endswith(".weight")))
+            elif isinstance(item, np.ndarray):
+                buffers.append(BufferEntry(path, item))
+            elif _field_names(type(item)):
+                _walk(item, path + ".", params, buffers)
 
 
 class _Registered:
     """``parameters()`` and ``buffers()`` of a params dataclass, by the walk."""
 
+    def registry(self) -> tuple[list[ParamEntry], list[BufferEntry]]:
+        """Parameters and buffers from one walk."""
+        params: list[ParamEntry] = []
+        buffers: list[BufferEntry] = []
+        _walk(self, "", params, buffers)
+        return params, buffers
+
     def parameters(self) -> list[ParamEntry]:
-        return [e for e in _registry(self) if isinstance(e, ParamEntry)]
+        return self.registry()[0]
 
     def buffers(self) -> list[BufferEntry]:
-        return [e for e in _registry(self) if isinstance(e, BufferEntry)]
+        return self.registry()[1]
 
 
 @dataclass
@@ -102,10 +113,12 @@ class ImageClassifier(_Registered):
     head: ConvLayer  # 1x1 to num_classes, applied after global pooling
 
 
-def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> SegModel:
+def build_model(cfg: ModelConfig, seed: int, dtype=np.float32, init: bool = True) -> SegModel:
+    """``init=False`` builds the same registry with zero conv weights and no
+    random draws but the decoder's NMF seed, for a checkpoint to fill."""
     ss = np.random.SeedSequence(seed).spawn(2)
-    enc = build_encoder(cfg, _seed_of(ss[0]), dtype)
-    dec = build_decoder(cfg, _seed_of(ss[1]), dtype)
+    enc = build_encoder(cfg, _seed_of(ss[0]), dtype, init)
+    dec = build_decoder(cfg, _seed_of(ss[1]), dtype, init)
     return SegModel(cfg, enc, dec, seed)
 
 

@@ -2,6 +2,7 @@
 size arithmetic."""
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from segnext.encoder import preset
 from segnext.model import build_model
 from segnext.train import adamw_step, init_optim
 from segnext.tensor import GradTape, Tensor, backward
-from segnext import ops
+from segnext import blocks, initializers, ops
 
 MICRO = preset("mscan-micro")
 
@@ -90,6 +91,37 @@ class TestRoundTrip:
         save_checkpoint(loaded.model, p2, optim=loaded.optim,
                         run_cfg=loaded.run_cfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    def test_every_decoder_variant_round_trips_bitwise(self, variant, tmp_path):
+        model = build_model(replace(MICRO, decoder_variant=variant), seed=23)
+        rng = np.random.default_rng(2)
+        for b in model.buffers():  # away from the fresh-build statistics
+            b.array += rng.random(b.array.shape).astype(b.array.dtype)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path).model
+        x = Tensor(rng.normal(scale=0.3, size=(1, 3, 64, 64)).astype(np.float32))
+        assert model.forward(x).data.tobytes() == loaded.forward(x).data.tobytes()
+        for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
+            assert (a.name, a.tensor.data.tobytes()) == (b.name, b.tensor.data.tobytes())
+        for a, b in zip(model.buffers(), loaded.buffers(), strict=True):
+            assert (a.name, a.array.tobytes()) == (b.name, b.array.tobytes())
+        assert getattr(loaded.decoder, "seed", None) == getattr(model.decoder, "seed", None)
+
+    def test_load_draws_no_random_init(self, model, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        for module in (initializers, blocks):
+            monkeypatch.setattr(module, "trunc_normal", no_draw)
+            monkeypatch.setattr(module, "fan_out_normal", no_draw)
+        loaded = load_checkpoint(path).model
+        for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
+            np.testing.assert_array_equal(a.tensor.data, b.tensor.data)
 
     def test_run_config_snapshot_preserved(self, model, tmp_path):
         rc = RunConfig(model=MICRO, train=TrainParams(iters=7), seed=99)

@@ -152,6 +152,22 @@ class TestBatchNorm:
                             bn.running_mean, bn.running_var, 1e-5, training, 0.1)
 
 
+def _float32_sweep() -> np.ndarray:
+    """Every 4099th float32 bit pattern: all signs, exponents and subnormals."""
+    return np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32).view(np.float32)
+
+
+def _fp_class(v: np.float32) -> str:
+    if np.isnan(v):
+        return "nan"
+    sign = "-" if np.signbit(v) else "+"
+    if np.isinf(v):
+        return sign + "inf"
+    if v == 0:
+        return sign + "0"
+    return sign + ("subnormal" if abs(v) < np.finfo(np.float32).smallest_normal else "normal")
+
+
 class TestActivations:
     def test_gelu_exact_values(self):
         x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]).reshape(1, 1, 1, 5)
@@ -163,6 +179,74 @@ class TestActivations:
         rng = np.random.default_rng(8)
         fd_check(lambda t: ops.sum_all(ops.gelu(t)),
                  rng.normal(size=(1, 2, 3, 3)))
+
+    def test_gelu_float32_phi_within_3e7_of_float64_erfc(self):
+        x = _float32_sweep()
+        x = x[np.abs(x) < 20]
+        want = 0.5 * special.erfc(-x.astype(np.float64) / np.sqrt(2))
+        assert np.abs(ops._gelu_f32(x)[1] - want).max() < 3e-7
+
+    def test_gelu_float32_phi_in_unit_interval(self):
+        x = _float32_sweep()
+        x = np.concatenate([x[~np.isnan(x)], np.float32([np.inf, -np.inf])])
+        with np.errstate(invalid="ignore"):  # the GELU of -inf is NaN
+            phi = ops._gelu_f32(x)[1]
+        assert phi.min() >= 0 and phi.max() <= 1
+
+    def test_gelu_float32_special_values_match_scipy_classes(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        big_sub = np.finfo(np.float32).smallest_normal - tiny
+        x = np.float32([0.0, -0.0, tiny, -tiny, big_sub, -big_sub,
+                        np.inf, -np.inf, np.nan]).reshape(1, 1, 1, 9)
+        with np.errstate(invalid="ignore"):
+            got = ops.gelu(Tensor(x)).data
+            # The float32 path before the rational erf.
+            want = x * (0.5 * (1.0 + special.erf(x * 0.7071067811865476)))
+        assert got.dtype == np.float32
+        assert [_fp_class(v) for v in got.ravel()] == [_fp_class(v) for v in want.ravel()]
+        # +inf, -inf, NaN
+        assert [_fp_class(v) for v in got.ravel()[-3:]] == ["+inf", "nan", "nan"]
+
+    @pytest.mark.parametrize("size", ["1", "chunk-1", "chunk+1", "3chunk+5"])
+    def test_gelu_float32_bitwise_independent_of_chunking(self, size, monkeypatch):
+        chunk = ops._PHI_CHUNK
+        n = {"1": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1, "3chunk+5": 3 * chunk + 5}[size]
+        x = np.random.default_rng(n).normal(scale=3, size=(1, 1, 1, n)).astype(np.float32)
+        whole = ops.gelu(Tensor(x)).data
+        monkeypatch.setattr(ops, "_PHI_CHUNK", 7)
+        assert whole.tobytes() == ops.gelu(Tensor(x)).data.tobytes()
+        pieces = [ops.gelu(Tensor(x[..., i:i + 1009])).data for i in range(0, n, 1009)]
+        assert whole.tobytes() == np.concatenate(pieces, axis=-1).tobytes()
+
+    def test_gelu_float32_empty_batch(self):
+        out = ops.gelu(Tensor(np.zeros((0, 3, 4, 4), np.float32))).data
+        assert out.shape == (0, 3, 4, 4) and out.dtype == np.float32
+
+    def test_gelu_float32_backward_matches_float64_derivative(self):
+        x = np.random.default_rng(4).normal(scale=3, size=(2, 3, 8, 8)).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        with GradTape() as tape:
+            loss = ops.sum_all(ops.gelu(xt))
+        got = backward(tape, loss).of(xt)
+        x64 = x.astype(np.float64)
+        want = (0.5 * special.erfc(-x64 / np.sqrt(2))
+                + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2 * np.pi))
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() < 1e-6
+
+    def test_gelu_float32_does_not_call_scipy_erf(self, monkeypatch):
+        real_erf = special.erf
+
+        def erf(x, *args, **kwargs):
+            if np.asarray(x).dtype == np.float32:
+                raise AssertionError("float32 GELU called scipy.special.erf")
+            return real_erf(x, *args, **kwargs)
+
+        monkeypatch.setattr(special, "erf", erf)
+        ops.gelu(Tensor(np.float32([-1.0, 0.5, 2.0]).reshape(1, 1, 1, 3)))
+        x = np.array([-1.0, 0.5]).reshape(1, 1, 1, 2)
+        want = x * (0.5 * (1.0 + real_erf(x * 0.7071067811865476)))
+        assert ops.gelu(Tensor(x)).data.tobytes() == want.tobytes()
 
     def test_relu_and_gradient(self):
         x = np.array([-1.0, 0.5, 2.0]).reshape(1, 1, 1, 3)
