@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -108,15 +108,9 @@ def _run_training(rc: RunConfig, tag_prefix: str = "checkpoint") -> int:
         log_fh.flush()
 
     try:
-        result = train(
-            rc.model, train_set, rc.train.iters, rc.train.batch, rc.seed,
-            lr=rc.train.lr, power=rc.train.power,
-            warmup_iters=rc.train.warmup_iters, warmup_ratio=rc.train.warmup_ratio,
-            weight_decay=rc.train.weight_decay, crop=rc.train.crop,
-            val_set=val_set, eval_interval=rc.train.eval_interval,
-            checkpoint_interval=rc.train.checkpoint_interval,
-            checkpoint_fn=checkpoint_fn, log_fn=log_fn,
-        )
+        # TrainParams' field names are train()'s keyword names.
+        result = train(rc.model, train_set, seed=rc.seed, val_set=val_set,
+                       checkpoint_fn=checkpoint_fn, log_fn=log_fn, **asdict(rc.train))
     finally:
         log_fh.close()
     if result.final_miou is not None:

@@ -2,9 +2,10 @@
 pairs, strictly validated with line numbers in every error."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, get_type_hints
 
-from .encoder import ConfigError, ModelConfig, PRESETS, preset
+from .encoder import ConfigError, ModelConfig, PRESETS, StageConfig, preset
 
 
 @dataclass(frozen=True)
@@ -56,44 +57,45 @@ def _parse_preset(s: str) -> str:
     return s
 
 
-# (section, key) -> value parser. Anything else is rejected.
-_SCHEMA = {
-    ("model", "model"): _parse_preset,
-    ("model", "channels"): _parse_int_list,
-    ("model", "depths"): _parse_int_list,
-    ("model", "expansions"): _parse_int_list,
-    ("model", "num_classes"): int,
-    ("model", "decoder_dim"): int,
-    ("model", "decoder_variant"): str,
-    ("model", "include_stage1"): _parse_bool,
-    ("model", "ham_rank"): int,
-    ("model", "ham_iters"): int,
-    ("model", "use_msca"): _parse_bool,
-    ("model", "drop_path"): float,
-    ("train", "iters"): int,
-    ("train", "batch"): int,
-    ("train", "crop"): int,
-    ("train", "lr"): float,
-    ("train", "power"): float,
-    ("train", "warmup_iters"): int,
-    ("train", "warmup_ratio"): float,
-    ("train", "weight_decay"): float,
-    ("train", "eval_interval"): int,
-    ("train", "checkpoint_interval"): int,
-    ("data", "size"): int,
-    ("data", "num_train"): int,
-    ("data", "num_val"): int,
-    ("run", "seed"): int,
-    ("run", "out_dir"): str,
-}
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
+# Fields that are not keys: the stages are written as the three lists below,
+# and RunConfig's other sections are classes of their own.
+_NOT_KEYS = frozenset({"stages", "model", "train", "data"})
+_RENAMED = {"include_stage1_in_decoder": "include_stage1"}
 
-_SECTIONS = ("model", "train", "data", "run")
+
+def _scalar_keys(cls) -> dict[str, tuple[str, Callable[[str], object]]]:
+    """Config key -> (field name, parser) for each field of ``cls`` in
+    declaration order. A field whose annotation has no parser raises, so no
+    field is left out of the file format unnoticed."""
+    hints = get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        if f.name in _NOT_KEYS:
+            continue
+        if hints[f.name] not in _PARSERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for {hints[f.name]!r}")
+        keys[_RENAMED.get(f.name, f.name)] = (f.name, _PARSERS[hints[f.name]])
+    return keys
+
+
+# The stage lists are ModelConfig properties, so they are written like fields.
+_LISTS = {k: (k, _parse_int_list) for k in ("channels", "depths", "expansions")}
+# section -> its keys, in the order they are written.
+_WRITTEN = {
+    "model": {**_LISTS, **_scalar_keys(ModelConfig)},
+    "train": _scalar_keys(TrainParams),
+    "data": _scalar_keys(DataParams),
+    "run": _scalar_keys(RunConfig),
+}
+# Reading also accepts a preset name in [model]; anything else is rejected.
+_READ = {**_WRITTEN, "model": {"model": ("model", _parse_preset), **_WRITTEN["model"]}}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError with a line number on any
     malformed line, unknown key or section, duplicate, or bad value."""
-    values: dict[tuple[str, str], object] = {}
+    values: dict[str, dict[str, object]] = {section: {} for section in _READ}
     lines_of: dict[tuple[str, str], int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -102,7 +104,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTIONS:
+            if section not in _READ:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -113,72 +115,36 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         value = value.strip()
         spot = (section, key)
-        if spot not in _SCHEMA:
+        if key not in _READ[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        if spot in values:
+        if spot in lines_of:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} (first set on line {lines_of[spot]})"
             )
+        name, parser = _READ[section][key]
         try:
-            values[spot] = _SCHEMA[spot](value)
+            values[section][name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         lines_of[spot] = lineno
     return _assemble(values)
 
 
-def _section_kwargs(values: dict, section: str, cls) -> dict:
-    out = {}
-    for (sec, key), val in values.items():
-        if sec == section and key in cls.__dataclass_fields__:
-            out[key] = val
-    return out
-
-
-def _assemble(values: dict[tuple[str, str], object]) -> RunConfig:
-    model_keys = {k: v for (s, k), v in values.items() if s == "model"}
-    preset_name = model_keys.pop("model", None)
-    explicit = {"channels", "depths", "expansions"} & model_keys.keys()
-    try:
-        if preset_name is not None:
-            if explicit:
-                raise ConfigError(
-                    "channels/depths/expansions cannot be combined with a model preset"
-                )
-            base = preset(str(preset_name))
-        elif explicit:
-            if explicit != {"channels", "depths", "expansions"}:
-                raise ConfigError(
-                    "custom models need all of channels, depths, and expansions"
-                )
-            from .encoder import _cfg  # noqa: PLC0415  (single construction helper)
-
-            base = _cfg(
-                model_keys.pop("channels"),
-                model_keys.pop("depths"),
-                model_keys.pop("expansions"),
-                decoder_dim=model_keys.pop("decoder_dim", 256),
-                num_classes=model_keys.pop("num_classes", 150),
-                ham_rank=model_keys.pop("ham_rank", 64),
-            )
-        else:
-            base = preset("mscan-t")
-        renames = {"include_stage1": "include_stage1_in_decoder"}
-        overrides = {renames.get(k, k): v for k, v in model_keys.items()}
-        model_cfg = replace(base, **overrides) if overrides else base
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"in [model]: {exc}") from None
-
-    try:
-        train = TrainParams(**_section_kwargs(values, "train", TrainParams))
-        data = DataParams(**_section_kwargs(values, "data", DataParams))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    seed = int(values.get(("run", "seed"), 0))
-    out_dir = str(values.get(("run", "out_dir"), "runs/default"))
-    return RunConfig(model_cfg, train, data, seed, out_dir)
+def _assemble(values: dict[str, dict[str, object]]) -> RunConfig:
+    model = values["model"]
+    preset_name = model.pop("model", None)
+    lists = [model.pop(k) for k in _LISTS if k in model]
+    if lists and preset_name is not None:
+        raise ConfigError("channels/depths/expansions cannot be combined with a model preset")
+    if lists and len(lists) != len(_LISTS):
+        raise ConfigError("custom models need all of channels, depths, and expansions")
+    if lists:
+        # A custom model is mscan-t's decoder on the given stages.
+        model["stages"] = tuple(StageConfig(*s) for s in zip(*lists))
+    base = preset(preset_name or "mscan-t")
+    model_cfg = replace(base, **model) if model else base
+    return RunConfig(model_cfg, TrainParams(**values["train"]),
+                     DataParams(**values["data"]), **values["run"])
 
 
 def _fmt(v) -> str:
@@ -194,28 +160,10 @@ def _fmt(v) -> str:
 def serialize_config(rc: RunConfig) -> str:
     """Canonical text form; parse(serialize(rc)) == rc, with the model
     written out field by field rather than as a preset name."""
-    m = rc.model
-    lines = [
-        "[model]",
-        f"channels = {_fmt(m.channels)}",
-        f"depths = {_fmt(m.depths)}",
-        f"expansions = {_fmt(m.expansions)}",
-        f"num_classes = {m.num_classes}",
-        f"decoder_dim = {m.decoder_dim}",
-        f"decoder_variant = {m.decoder_variant}",
-        f"include_stage1 = {_fmt(m.include_stage1_in_decoder)}",
-        f"ham_rank = {m.ham_rank}",
-        f"ham_iters = {m.ham_iters}",
-        f"use_msca = {_fmt(m.use_msca)}",
-        f"drop_path = {_fmt(m.drop_path)}",
-        "",
-        "[train]",
-    ]
-    for name in TrainParams.__dataclass_fields__:
-        lines.append(f"{name} = {_fmt(getattr(rc.train, name))}")
-    lines.append("")
-    lines.append("[data]")
-    for name in DataParams.__dataclass_fields__:
-        lines.append(f"{name} = {_fmt(getattr(rc.data, name))}")
-    lines += ["", "[run]", f"seed = {rc.seed}", f"out_dir = {rc.out_dir}", ""]
+    lines = []
+    for section, keys in _WRITTEN.items():
+        obj = rc if section == "run" else getattr(rc, section)
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_fmt(getattr(obj, name))}" for key, (name, _) in keys.items()]
+        lines.append("")
     return "\n".join(lines)

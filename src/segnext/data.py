@@ -191,8 +191,8 @@ def augment(s: SegSample, rng: np.random.Generator, crop: int) -> SegSample:
     c0 = int(rng.integers(0, max(crop, ow) - crop + 1))
     r1, c1 = min(r0 + crop, oh), min(c0 + crop, ow)
     # At an unchanged size the matrices are identities and copy exactly.
-    rh = ops._resize_matrix(oh, h, False, img.dtype)[r0:r1]
-    rw = ops._resize_matrix(ow, w, False, img.dtype)[c0:c1]
+    rh = ops._resize_matrix(oh, h, img.dtype)[r0:r1]
+    rw = ops._resize_matrix(ow, w, img.dtype)[c0:c1]
     ry, rx = _nearest_indices(oh, h)[r0:r1], _nearest_indices(ow, w)[c0:c1]
     out_img = np.zeros((3, crop, crop), dtype=img.dtype)
     out_img[:, : r1 - r0, : c1 - c0] = np.matmul(np.matmul(rh, img), rw.T)

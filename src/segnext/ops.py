@@ -200,7 +200,7 @@ def _frame_slices(offset: int, step: int, count: int, size: int) -> tuple[slice,
 
 def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSpec,
                    pad: tuple[int, int], in_hw: tuple[int, int],
-                   need_x: bool, need_w: bool):
+                   need_x: bool):
     n, o, oh, ow = grad.shape
     g = spec.groups
     kh, kw = spec.kernel
@@ -214,26 +214,23 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
         c = spec.in_channels
         x2 = xp.reshape(n, c, oh * ow)
         g2 = grad.reshape(n, o, oh * ow)
-        dw = dx = None
-        if need_w:
-            per_item = np.matmul(g2, x2.transpose(0, 2, 1))  # (n, o, c)
-            dw = per_item.sum(axis=0).reshape(w.shape)
+        dw = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        dx = None
         if need_x:
             dx = np.matmul(w.reshape(o, c).T, g2).reshape(n, c, oh, ow)
         return dx, dw
 
     if _is_depthwise(spec):
         wk = w[:, 0]  # (c, kh, kw)
-        dw = dx = None
-        if need_w:
-            # One contraction per kernel tap over the strided input slice the
-            # tap's weight multiplied in the forward.
-            dw = np.empty_like(wk)
-            for u in range(kh):
-                for v in range(kw):
-                    tap = (..., slice(u, u + sh * oh, sh), slice(v, v + sw * ow, sw))
-                    dw[:, u, v] = np.einsum("nchw,nchw->c", xp[tap], grad)
-            dw = dw.reshape(w.shape)
+        # One contraction per kernel tap over the strided input slice the
+        # tap's weight multiplied in the forward.
+        dw = np.empty_like(wk)
+        for u in range(kh):
+            for v in range(kw):
+                tap = (..., slice(u, u + sh * oh, sh), slice(v, v + sw * ow, sw))
+                dw[:, u, v] = np.einsum("nchw,nchw->c", xp[tap], grad)
+        dw = dw.reshape(w.shape)
+        dx = None
         if need_x:
             # dx is the stride-1 correlation of the flipped kernel with the
             # output gradient, dilated by the stride and placed so that
@@ -249,18 +246,14 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
 
     # General grouped path, mirroring the forward's column layout.
     go = grad.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2).reshape(g, n * oh * ow, og)
-    dw = None
-    if need_w:
-        pv = _patches(xp, kh, kw, sh, sw, oh, ow)
-        cols = (
-            pv.reshape(n, g, cg, oh, ow, kh, kw)
-            .transpose(1, 0, 3, 4, 2, 5, 6)
-            .reshape(g, n * oh * ow, cg * kh * kw)
-        )
-        dwg = np.matmul(cols.transpose(0, 2, 1), go)  # (g, cg*kh*kw, og)
-        dw = (
-            dwg.reshape(g, cg, kh, kw, og).transpose(0, 4, 1, 2, 3).reshape(w.shape)
-        )
+    pv = _patches(xp, kh, kw, sh, sw, oh, ow)
+    cols = (
+        pv.reshape(n, g, cg, oh, ow, kh, kw)
+        .transpose(1, 0, 3, 4, 2, 5, 6)
+        .reshape(g, n * oh * ow, cg * kh * kw)
+    )
+    dwg = np.matmul(cols.transpose(0, 2, 1), go)  # (g, cg*kh*kw, og)
+    dw = dwg.reshape(g, cg, kh, kw, og).transpose(0, 4, 1, 2, 3).reshape(w.shape)
     dx = None
     if need_x:
         wg = w.reshape(g, og, cg * kh * kw)
@@ -313,9 +306,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     need_x = grad_relevant(x)  # skip input adjoints for graph leaves (e.g. images)
 
     def bwd(g: np.ndarray):
-        dx, dw = _conv_backward(
-            g, xp, weight.data, spec, (ph, pw), (h, w), need_x=need_x, need_w=True
-        )
+        dx, dw = _conv_backward(g, xp, weight.data, spec, (ph, pw), (h, w), need_x)
         if bias is not None:
             db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
             return dx, dw, db
@@ -381,9 +372,7 @@ def batchnorm2d(
         dgamma = (g * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         dbeta = g.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         if training:
-            gsum = g.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            gx = (g * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            dx = (gamma.data * inv4 / m) * (m * g - gsum - xhat * gx)
+            dx = (gamma.data * inv4 / m) * (m * g - dbeta - xhat * dgamma)
         else:
             dx = g * gamma.data * inv4
         return dx, dgamma, dbeta
@@ -473,20 +462,14 @@ def relu(x: Tensor) -> Tensor:
     return record(out, (x,), bwd)
 
 
-def _resize_matrix(out_n: int, in_n: int, align_corners: bool, dtype) -> np.ndarray:
+def _resize_matrix(out_n: int, in_n: int, dtype) -> np.ndarray:
     """(out_n, in_n) bilinear interpolation matrix for one resize axis.
 
     Row i holds the two blend weights of output sample i at its source
     indices, so a resize is ``R_h @ x @ R_w.T``.
     """
-    if align_corners:
-        if out_n == 1:
-            src = np.zeros(1, dtype=np.float64)
-        else:
-            src = np.arange(out_n, dtype=np.float64) * ((in_n - 1) / (out_n - 1))
-    else:
-        src = (np.arange(out_n, dtype=np.float64) + 0.5) * (in_n / out_n) - 0.5
-        src = np.clip(src, 0.0, in_n - 1)
+    src = (np.arange(out_n, dtype=np.float64) + 0.5) * (in_n / out_n) - 0.5
+    src = np.clip(src, 0.0, in_n - 1)
     i0 = np.minimum(np.floor(src).astype(np.int64), in_n - 1)
     i1 = np.minimum(i0 + 1, in_n - 1)
     w1 = (src - i0).astype(dtype)
@@ -498,8 +481,8 @@ def _resize_matrix(out_n: int, in_n: int, align_corners: bool, dtype) -> np.ndar
     return r
 
 
-def bilinear_resize(x: Tensor, out_h: int, out_w: int, align_corners: bool = False) -> Tensor:
-    """Bilinear interpolation; pixel-center sampling unless align_corners."""
+def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Bilinear interpolation with pixel-center sampling."""
     n, c, h, w = x.shape
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"output size must be >= 1, got {out_h}x{out_w}")
@@ -515,8 +498,8 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int, align_corners: bool = Fal
 
     _charge((x,), 8 * c * out_h * out_w)
     # The separable linear map y = R_h x R_w^T.
-    rh = _resize_matrix(out_h, h, align_corners, x.dtype)
-    rw = _resize_matrix(out_w, w, align_corners, x.dtype)
+    rh = _resize_matrix(out_h, h, x.dtype)
+    rw = _resize_matrix(out_w, w, x.dtype)
     t = np.matmul(x.data.reshape(n * c * h, w), rw.T).reshape(n, c, h, out_w)
     out = Tensor(np.matmul(rh, t))
 

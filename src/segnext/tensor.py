@@ -32,9 +32,9 @@ class Tensor:
     the same 4-D type.
     """
 
-    __slots__ = ("data", "requires_grad", "name")
+    __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
@@ -46,7 +46,6 @@ class Tensor:
             raise ShapeError(f"tensor must be 4-D (N, C, H, W), got {arr.ndim}-D shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -60,12 +59,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """Read-only view of the underlying array."""
-        view = self.data.view()
-        view.flags.writeable = False
-        return view
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -76,13 +69,8 @@ class Tensor:
         return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
         grad = " grad" if self.requires_grad else ""
-        return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}{grad}{tag})"
-
-
-def zeros(shape: Sequence[int], dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(tuple(shape), dtype=dtype), requires_grad=requires_grad)
+        return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}{grad})"
 
 
 # A node remembers the op's output and inputs (strong references, so object
@@ -112,7 +100,6 @@ class GradTape:
 
     def __init__(self) -> None:
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
-        self._produced: set[int] = set()
         self._relevant: set[int] = set()
 
     def __enter__(self) -> "GradTape":
@@ -129,7 +116,6 @@ class GradTape:
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: _BackwardFn) -> None:
         self._nodes.append((out, inputs, backward_fn))
-        self._produced.add(id(out))
         self._relevant.add(id(out))
 
     def _wants(self, inputs: Iterable[Tensor]) -> bool:
@@ -248,7 +234,7 @@ def backward(tape: GradTape, loss: Tensor) -> Gradients:
         raise GraphError("loss must be a Tensor")
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {tuple(loss.shape)}")
-    if id(loss) not in tape._produced:
+    if id(loss) not in tape._relevant:
         raise GraphError("loss was not produced by an operation recorded on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=loss.dtype)}

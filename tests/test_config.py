@@ -1,12 +1,88 @@
 """Config text format: preset expansion, validation with line numbers,
 defaults, and lossless round-trips."""
+from dataclasses import dataclass, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segnext import config
 from segnext.config import (DataParams, RunConfig, TrainParams, parse_config,
                             serialize_config)
 from segnext.encoder import ConfigError, preset
+
+# The keys of each section in written order. They are the field names of the
+# config classes, and checkpoints store them, so a renamed field must show here.
+KEYS = {
+    "model": ["channels", "depths", "expansions", "decoder_dim", "num_classes",
+              "decoder_variant", "include_stage1", "ham_rank", "ham_iters",
+              "use_msca", "drop_path"],
+    "train": ["iters", "batch", "crop", "lr", "power", "warmup_iters",
+              "warmup_ratio", "weight_decay", "eval_interval", "checkpoint_interval"],
+    "data": ["size", "num_train", "num_val"],
+    "run": ["seed", "out_dir"],
+}
+
+# One non-default value for every scalar key.
+NON_DEFAULT = [
+    ("model", "decoder_dim", "128"), ("model", "num_classes", "19"),
+    ("model", "decoder_variant", "b"), ("model", "include_stage1", "true"),
+    ("model", "ham_rank", "32"), ("model", "ham_iters", "3"),
+    ("model", "use_msca", "false"), ("model", "drop_path", "0.25"),
+    ("train", "iters", "12"), ("train", "batch", "4"), ("train", "crop", "96"),
+    ("train", "lr", "0.0003"), ("train", "power", "0.9"),
+    ("train", "warmup_iters", "10"), ("train", "warmup_ratio", "0.5"),
+    ("train", "weight_decay", "0.05"), ("train", "eval_interval", "6"),
+    ("train", "checkpoint_interval", "7"),
+    ("data", "size", "96"), ("data", "num_train", "16"), ("data", "num_val", "4"),
+    ("run", "seed", "5"), ("run", "out_dir", "runs/x"),
+]
+
+# Written by the earlier serializer, which put num_classes before decoder_dim.
+EARLIER_TEXT = """[model]
+channels = 8,16,32,64
+depths = 1,1,1,1
+expansions = 8,8,4,4
+num_classes = 19
+decoder_dim = 64
+decoder_variant = b
+include_stage1 = true
+ham_rank = 16
+ham_iters = 3
+use_msca = true
+drop_path = 0.125
+
+[train]
+iters = 12
+batch = 8
+crop = 128
+lr = 0.0003
+power = 1.0
+warmup_iters = 0
+warmup_ratio = 0.1
+weight_decay = 0.01
+eval_interval = 250
+checkpoint_interval = 500
+
+[data]
+size = 96
+num_train = 64
+num_val = 8
+
+[run]
+seed = 5
+out_dir = runs/x
+"""
+
+
+def written_keys(text: str) -> dict[str, list[str]]:
+    keys: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = keys.setdefault(line[1:-1], [])
+        elif line:
+            section.append(line.partition(" = ")[0])
+    return keys
 
 
 class TestParse:
@@ -122,8 +198,53 @@ class TestRoundTrip:
             train=TrainParams(iters=iters, lr=lr),
             seed=seed,
         )
-        from dataclasses import replace
         rc = replace(rc, model=replace(
             rc.model, decoder_variant=variant,
             include_stage1_in_decoder=stage1))
         assert parse_config(serialize_config(rc)) == rc
+
+
+class TestKeysFromFields:
+    def test_written_keys_match_golden(self):
+        assert written_keys(serialize_config(RunConfig(preset("mscan-t")))) == KEYS
+
+    def test_non_default_values_cover_every_scalar_key(self):
+        lists = {"channels", "depths", "expansions"}
+        assert [(s, k) for s, k, _ in NON_DEFAULT] == [
+            (s, k) for s, keys in KEYS.items() for k in keys if k not in lists]
+
+    @pytest.mark.parametrize("section,key,value", NON_DEFAULT,
+                             ids=[f"{s}.{k}" for s, k, _ in NON_DEFAULT])
+    def test_every_scalar_key_round_trips(self, section, key, value):
+        rc = parse_config(f"[{section}]\n{key} = {value}\n")
+        assert rc != RunConfig(preset("mscan-t"))
+        text = serialize_config(rc)
+        assert f"{key} = {value}" in text.splitlines()
+        assert parse_config(text) == rc
+
+    def test_earlier_key_order_parses_to_same_config(self):
+        want = RunConfig(
+            model=replace(preset("mscan-micro"), num_classes=19, decoder_variant="b",
+                          include_stage1_in_decoder=True, ham_iters=3, drop_path=0.125),
+            train=TrainParams(iters=12, lr=3e-4), data=DataParams(size=96),
+            seed=5, out_dir="runs/x")
+        assert parse_config(EARLIER_TEXT) == want
+        assert serialize_config(want) == EARLIER_TEXT.replace(
+            "num_classes = 19\ndecoder_dim = 64\n", "decoder_dim = 64\nnum_classes = 19\n")
+
+    def test_custom_model_keeps_mscan_t_decoder(self):
+        rc = parse_config("[model]\nchannels = 8,16,32,64\ndepths = 1,1,1,1\n"
+                          "expansions = 2,2,2,2\n")
+        t = preset("mscan-t")
+        assert rc.model == replace(t, stages=rc.model.stages)
+        assert rc.model.channels == (8, 16, 32, 64)
+        assert rc.model.expansions == (2, 2, 2, 2)
+
+    def test_field_without_parser_raises(self):
+        @dataclass(frozen=True)
+        class Toy:
+            ok: int = 1
+            pair: complex = 1j
+
+        with pytest.raises(TypeError, match="Toy.pair"):
+            config._scalar_keys(Toy)
