@@ -138,6 +138,9 @@ def _assemble(values: dict[str, dict[str, object]]) -> RunConfig:
         raise ConfigError("channels/depths/expansions cannot be combined with a model preset")
     if lists and len(lists) != len(_LISTS):
         raise ConfigError("custom models need all of channels, depths, and expansions")
+    if len({len(v) for v in lists}) > 1:
+        raise ConfigError("channels, depths and expansions must have equal lengths, got "
+                          + ", ".join(str(len(v)) for v in lists))
     if lists:
         # A custom model is mscan-t's decoder on the given stages.
         model["stages"] = tuple(StageConfig(*s) for s in zip(*lists))

@@ -111,10 +111,15 @@ def _is_pointwise(spec: ConvSpec) -> bool:
     return spec.kernel == (1, 1) and spec.groups == 1 and spec.stride == (1, 1)
 
 
+# Bytes of one channel block's row matrix in ``_banded_depthwise``. L2 is
+# 2 MB per core here, so a block's rows and its output stay in cache.
+_DW_BLOCK_BYTES = 1 << 20
+
+
 def _banded_depthwise(xp: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
                       oh: int, ow: int) -> np.ndarray:
     """Depthwise cross-correlation of a padded input (N, C, H, W) with one
-    kernel per channel, ``wk`` (C, kh, kw), as one batched GEMM.
+    kernel per channel, ``wk`` (C, kh, kw), as batched GEMMs.
 
     The output width is cut into tiles of ``t`` columns. A tile's outputs read
     ``span`` input columns from each of ``kh`` rows, and every tile shares one
@@ -122,6 +127,11 @@ def _banded_depthwise(xp: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
     so (rows of kh*span inputs) @ (kh*span, t) band gives the tile. Kernels
     taller than wide run on the transposed input, so the band lies along the
     long axis.
+
+    Unless the input already is that row matrix, the rows are copied one
+    block of channels at a time into one reused buffer of about
+    ``_DW_BLOCK_BYTES``. A last tile that overruns the input reads only the
+    columns that exist; the rest of its rows stay zero.
     """
     kh, kw = wk.shape[1:]
     if kh > kw:
@@ -133,18 +143,37 @@ def _banded_depthwise(xp: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
     t = min(ow, max(16, 2 * kw))
     tiles = -(-ow // t)
     span = sw * (t - 1) + kw
-    need = sw * (tiles * t - 1) + kw  # input columns read by the last tile
-    if need > wp:
-        xp = np.pad(xp, ((0, 0), (0, 0), (0, 0), (0, need - wp)))
+    # Only the last tile can overrun the input: it starts at column `last`.
+    last = sw * t * (tiles - 1)
+    full = tiles if last + span <= wp else tiles - 1
     bn, bc, bh, bw = xp.strides
-    rows = as_strided(
-        xp, (n, c, oh, tiles, kh, span), (bn, bc, bh * sh, bw * sw * t, bh, bw),
-        writeable=False,
-    ).reshape(n, c, oh * tiles, kh * span)
+    win = as_strided(xp, (n, c, oh, full, kh, span),
+                     (bn, bc, bh * sh, bw * sw * t, bh, bw), writeable=False)
+    edge = as_strided(xp[..., last:], (n, c, oh, kh, wp - last),
+                      (bn, bc, bh * sh, bh, bw), writeable=False)
     band = np.zeros((c, kh, span, t), dtype=wk.dtype)
     j = np.arange(t)
     band[:, :, sw * j + np.arange(kw)[:, None], j] = wk[..., None]
-    out = np.matmul(rows, band.reshape(c, kh * span, t))
+    band = band.reshape(c, kh * span, t)
+    if full == tiles and (kh == 1 or bh == bw * span) and (
+            tiles == 1 or oh == 1 or bh * sh == bw * sw * t * tiles):
+        # The window merges into a (strided) row matrix without a copy, by
+        # numpy's reshape rule: a single tile of a strip, say. The GEMM reads
+        # it where it lies; a copy would change the BLAS call, and the bits.
+        rows = win.reshape(n, c, oh * tiles, kh * span)
+        return np.matmul(rows, band).reshape(n, c, oh, tiles * t)[..., :ow]
+
+    cb = min(c, max(1, _DW_BLOCK_BYTES // max(1, n * oh * tiles * kh * span * xp.itemsize)))
+    buf = (np.empty if full == tiles else np.zeros)((n, cb, oh, tiles, kh, span), xp.dtype)
+    out = np.empty((n, c, oh * tiles, t), dtype=xp.dtype)
+    for c0 in range(0, c, cb):
+        c1 = min(c0 + cb, c)
+        rows = buf[:, : c1 - c0]
+        rows[:, :, :, :full] = win[:, c0:c1]
+        if full < tiles:
+            rows[:, :, :, full, :, : wp - last] = edge[:, c0:c1]
+        np.matmul(rows.reshape(n, c1 - c0, oh * tiles, kh * span), band[c0:c1],
+                  out=out[:, c0:c1])
     return out.reshape(n, c, oh, tiles * t)[..., :ow]
 
 
@@ -299,7 +328,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
         xp = x.data
     out_data = _conv_forward(xp, weight.data, spec, oh, ow)
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data += bias.data  # every conv path returns a fresh array
     out = Tensor(out_data)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _charge(inputs, _per_image(out) * (c // spec.groups) * spec.kernel[0] * spec.kernel[1])
@@ -409,18 +438,22 @@ def _horner(s: np.ndarray, coeffs: tuple, out: np.ndarray) -> None:
     np.add(out, coeffs[0], out=out)
 
 
-def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gelu_f32(x: np.ndarray, keep_phi: bool = True
+              ) -> tuple[np.ndarray, np.ndarray | None]:
     """GELU of float32 ``x`` and its Phi(x), Phi within 3e-7 of the exact value.
 
-    Every step is elementwise IEEE arithmetic, so the result does not depend
-    on where the chunks fall.
+    With ``keep_phi`` false, each chunk's Phi overwrites its numerator in
+    scratch and None is returned in its place. Every step is elementwise IEEE
+    arithmetic, so the result does not depend on where the chunks fall.
     """
     flat = np.ascontiguousarray(x).reshape(-1)
-    out, cdf = np.empty_like(flat), np.empty_like(flat)
+    out = np.empty_like(flat)
     z, s, p, q = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(4))
+    cdf = np.empty_like(flat) if keep_phi else None
     for lo in range(0, flat.size, _PHI_CHUNK):
         hi = min(lo + _PHI_CHUNK, flat.size)
-        zc, sc, pc, qc, phi = z[:hi - lo], s[:hi - lo], p[:hi - lo], q[:hi - lo], cdf[lo:hi]
+        zc, sc, pc, qc = z[:hi - lo], s[:hi - lo], p[:hi - lo], q[:hi - lo]
+        phi = cdf[lo:hi] if keep_phi else pc
         np.clip(flat[lo:hi], -_PHI_CLAMP, _PHI_CLAMP, out=zc)
         np.multiply(zc, zc, out=sc)
         _horner(sc, _PHI_NUM, pc)
@@ -430,16 +463,17 @@ def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.add(phi, np.float32(0.5), out=phi)
         np.clip(phi, 0, 1, out=phi)
         np.multiply(flat[lo:hi], phi, out=out[lo:hi])
-    return out.reshape(x.shape), cdf.reshape(x.shape)
+    return out.reshape(x.shape), None if cdf is None else cdf.reshape(x.shape)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x). float32 takes Phi from a rational erf,
-    float64 from ``scipy.special.erf``."""
+    float64 from ``scipy.special.erf``. float32 keeps Phi only when a tape
+    will read it."""
     _charge((x,), _per_image(x))
     xd = x.data
     if xd.dtype == np.float32:
-        y, cdf = _gelu_f32(xd)
+        y, cdf = _gelu_f32(xd, keep_phi=grad_relevant(x))
     else:
         cdf = 0.5 * (1.0 + special.erf(xd * _INV_SQRT2))
         y = xd * cdf

@@ -133,6 +133,16 @@ class TestParse:
         with pytest.raises(ConfigError, match="all of channels"):
             parse_config("[model]\nchannels = 8,16,32,64\n")
 
+    def test_custom_model_lists_of_unequal_length_raise(self):
+        # Five channels with four depths once parsed to a 4-stage model,
+        # silently dropping the 128.
+        with pytest.raises(ConfigError, match="equal lengths, got 5, 4, 4"):
+            parse_config("[model]\nchannels = 8,16,32,64,128\ndepths = 1,1,1,1\n"
+                         "expansions = 2,2,2,2\n")
+        with pytest.raises(ConfigError, match="equal lengths, got 4, 4, 3"):
+            parse_config("[model]\nchannels = 8,16,32,64\ndepths = 1,1,1,1\n"
+                         "expansions = 2,2,2\n")
+
     def test_preset_and_explicit_lists_conflict(self):
         with pytest.raises(ConfigError, match="cannot be combined"):
             parse_config("[model]\nmodel = mscan-t\nchannels = 8,16,32,64\n")

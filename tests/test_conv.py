@@ -1,5 +1,7 @@
 """Convolution forward/backward against the direct-loop oracle and finite
 differences, across grouping, stride, and kernel-shape regimes."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,103 @@ def test_conv_gradients_match_finite_differences(ci, co, k, s, p, g, h, w):
     assert rel_err(grads.of(xt), fd_gradient(loss_of("x"), x.copy())) < 1e-5
     assert rel_err(grads.of(wtt), fd_gradient(loss_of("w"), wt.copy())) < 1e-5
     assert rel_err(grads.of(bt), fd_gradient(loss_of("b"), b.copy())) < 1e-5
+
+
+DEPTHWISE = [r for r in REGIMES if r[0] == r[1] == r[5]]
+
+
+def _block_bytes(channels, n, k, s, p, h, w, itemsize):
+    """A ``_DW_BLOCK_BYTES`` that makes the forward copy ``channels`` channels
+    per block: the bytes of their rows in ``_banded_depthwise``'s tiles."""
+    oh, ow = ops.ConvSpec(1, 1, k, stride=s, padding=p).out_size(h, w)
+    (kh, kw), sw = k, s[1]
+    if kh > kw:  # tall kernels run on the transposed input
+        kh, kw, sw, oh, ow = kw, kh, s[0], ow, oh
+    t = min(ow, max(16, 2 * kw))
+    return channels * n * oh * -(-ow // t) * kh * (sw * (t - 1) + kw) * itemsize
+
+
+def _conv_and_grads(x, wt, b, spec):
+    xt, wtt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, wt, b))
+    with GradTape() as tape:
+        out = ops.conv2d(xt, wtt, bt, spec)
+        loss = ops.sum_all(ops.mul(out, out))
+    grads = backward(tape, loss)
+    return [out.data] + [grads.of(t) for t in (xt, wtt, bt)]
+
+
+class TestDepthwiseChannelBlocks:
+    """``_banded_depthwise`` copies its rows one block of channels at a time;
+    every depthwise row above fits in one block at the default budget."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("blocks", ["one-channel", "ragged-last"])
+    @pytest.mark.parametrize("ci,co,k,s,p,g,h,w", DEPTHWISE)
+    def test_blocks_match_one_block_oracle_and_finite_differences(
+            self, ci, co, k, s, p, g, h, w, blocks, dtype, monkeypatch):
+        rng = np.random.default_rng([ci, *k, *s, h, w])
+        spec = ops.ConvSpec(co, ci, k, stride=s, padding=p, groups=g)
+        x = rng.normal(size=(2, ci, h, w))
+        wt = rng.normal(size=spec.weight_shape) * 0.5
+        b = rng.normal(size=(1, co, 1, 1))
+        args = [a.astype(dtype) for a in (x, wt, b)]
+        whole = _conv_and_grads(*args, spec)
+        budget = 1 if blocks == "one-channel" else _block_bytes(
+            ci - 1, 2, k, s, spec.padding, h, w, np.dtype(dtype).itemsize)
+        monkeypatch.setattr(ops, "_DW_BLOCK_BYTES", budget)
+        got = _conv_and_grads(*args, spec)
+        for a, want in zip(got, whole):
+            assert a.dtype == dtype and a.tobytes() == want.tobytes()
+
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        assert rel_err(got[0], conv2d_loops(x, wt, b, spec.stride, spec.padding, g)) <= tol
+
+        def loss_of(which):
+            def f(arr):
+                y = ops.conv2d(*(Tensor(arr if i == which else a)
+                                 for i, a in enumerate((x, wt, b))), spec).data
+                return float((y * y).sum())
+            return f
+
+        tol = 1e-5 if dtype == np.float64 else 1e-4
+        for i, a in enumerate((x, wt, b)):
+            assert rel_err(got[1 + i], fd_gradient(loss_of(i), a.copy())) < tol
+
+    def test_one_channel_blocks_run_one_gemm_per_channel(self, monkeypatch):
+        # The ragged-width row copies its rows, so the block loop runs.
+        spec = ops.ConvSpec(3, 3, (3, 3), groups=3, bias=False)
+        x = np.random.default_rng(0).normal(size=(2, 3, 5, 37))
+        w = np.ones(spec.weight_shape)
+        calls = []
+        real = np.matmul
+
+        def matmul(*a, **kw):
+            calls.append(a[1].shape[0])
+            return real(*a, **kw)
+
+        monkeypatch.setattr(ops, "_DW_BLOCK_BYTES", 1)
+        monkeypatch.setattr(np, "matmul", matmul)
+        ops.conv2d(Tensor(x), Tensor(w), None, spec)
+        assert calls == [1, 1, 1]
+
+    def test_float32_3x3_allocates_far_less_than_its_row_matrix(self):
+        # 64ch@64x64: the padded input and the output are needed either way.
+        # The full row matrix (3 rows of 18 columns per 16-column tile, 3.4x
+        # the input) is not: one reused block buffer stands in for it.
+        rng = np.random.default_rng(0)
+        spec = ops.ConvSpec(64, 64, (3, 3), groups=64)
+        x = Tensor(rng.normal(size=(1, 64, 64, 64)).astype(np.float32))
+        w = Tensor(rng.normal(size=spec.weight_shape).astype(np.float32))
+        b = Tensor(np.zeros((1, 64, 1, 1), np.float32))
+        tracemalloc.start()
+        try:
+            ops.conv2d(x, w, b, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded_and_out = x.data.nbytes * (66 * 66 / (64 * 64) + 1)
+        rows = x.data.nbytes * 3 * 18 / 16
+        assert peak - padded_and_out < rows / 2
 
 
 class TestConvValidation:

@@ -1,5 +1,7 @@
 """Elementwise, normalization, resize, matmul, and loss primitives against
 loop oracles and finite differences."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -217,6 +219,28 @@ class TestActivations:
         assert whole.tobytes() == ops.gelu(Tensor(x)).data.tobytes()
         pieces = [ops.gelu(Tensor(x[..., i:i + 1009])).data for i in range(0, n, 1009)]
         assert whole.tobytes() == np.concatenate(pieces, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("size", [5, 3 * (1 << 15) + 5])
+    def test_gelu_float32_same_bits_with_and_without_a_tape(self, size):
+        x = np.random.default_rng(size).normal(scale=3, size=(1, 1, 1, size))
+        x = x.astype(np.float32)
+        free = ops.gelu(Tensor(x)).data
+        xt = Tensor(x, requires_grad=True)
+        with GradTape():
+            taped = ops.gelu(xt).data
+        assert free.tobytes() == taped.tobytes()
+        assert ops._gelu_f32(x, keep_phi=False)[1] is None
+
+    def test_gelu_float32_outside_a_tape_allocates_under_two_outputs(self):
+        # Phi is kept only for a tape; without one, chunk-sized scratch holds it.
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 64, 128, 128)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            ops.gelu(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.data.nbytes
 
     def test_gelu_float32_empty_batch(self):
         out = ops.gelu(Tensor(np.zeros((0, 3, 4, 4), np.float32))).data
