@@ -297,6 +297,11 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
     return dx, dw
 
 
+def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """``x`` zero padded by ``ph`` rows and ``pw`` columns on each side."""
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
     """2-D grouped convolution (cross-correlation), zero padded, floor-sized."""
     n, c, h, w = x.shape
@@ -322,11 +327,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
 
     oh, ow = spec.out_size(h, w)
     ph, pw = spec.padding  # type: ignore[misc]
-    if ph or pw:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    else:
-        xp = x.data
-    out_data = _conv_forward(xp, weight.data, spec, oh, ow)
+    out_data = _conv_forward(_padded(x.data, ph, pw), weight.data, spec, oh, ow)
     if bias is not None:
         out_data += bias.data  # every conv path returns a fresh array
     out = Tensor(out_data)
@@ -335,6 +336,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     need_x = grad_relevant(x)  # skip input adjoints for graph leaves (e.g. images)
 
     def bwd(g: np.ndarray):
+        # The padded input is rebuilt, not kept: the node already holds x.
+        xp = _padded(x.data, ph, pw)
         dx, dw = _conv_backward(g, xp, weight.data, spec, (ph, pw), (h, w), need_x)
         if bias is not None:
             db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
@@ -394,10 +397,11 @@ def batchnorm2d(
     inv = 1.0 / np.sqrt(var + eps)
     mean4 = mean.reshape(1, c, 1, 1)
     inv4 = inv.reshape(1, c, 1, 1).astype(xd.dtype, copy=False)
-    xhat = (xd - mean4) * inv4
-    out = Tensor(xhat * gamma.data + beta.data)
+    out = Tensor(((xd - mean4) * inv4) * gamma.data + beta.data)
 
     def bwd(g: np.ndarray):
+        # xhat is recomputed, not kept: the node already holds x.
+        xhat = (xd - mean4) * inv4
         dgamma = (g * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         dbeta = g.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         if training:

@@ -101,6 +101,8 @@ class GradTape:
     def __init__(self) -> None:
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
         self._relevant: set[int] = set()
+        self._recorded = 0  # nodes ever recorded; a released backward empties _nodes
+        self._released = False
 
     def __enter__(self) -> "GradTape":
         if _ACTIVE_TAPE.get() is not None:
@@ -112,10 +114,11 @@ class GradTape:
         _ACTIVE_TAPE.reset(self._token)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._recorded
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: _BackwardFn) -> None:
         self._nodes.append((out, inputs, backward_fn))
+        self._recorded += 1
         self._relevant.add(id(out))
 
     def _wants(self, inputs: Iterable[Tensor]) -> bool:
@@ -224,12 +227,22 @@ class Gradients:
         return id(t) in self._adjoints
 
 
-def backward(tape: GradTape, loss: Tensor) -> Gradients:
+def _popped(nodes: list) -> Iterator[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]]:
+    """The nodes, last first, each removed from the list as it is handed out."""
+    while nodes:
+        yield nodes.pop()
+
+
+def backward(tape: GradTape, loss: Tensor, release: bool = False) -> Gradients:
     """Replay the tape in exact reverse order, accumulating adjoints.
 
     A tensor consumed k times receives the sum of its k adjoint
     contributions. Two calls over the same tape are bitwise identical.
+    ``release=True`` frees each node (its output, inputs and adjoint closure)
+    once its adjoint has run, and leaves the tape unusable for another call.
     """
+    if tape._released:
+        raise GraphError("the tape was released by an earlier backward")
     if not isinstance(loss, Tensor):
         raise GraphError("loss must be a Tensor")
     if loss.data.size != 1:
@@ -238,7 +251,9 @@ def backward(tape: GradTape, loss: Tensor) -> Gradients:
         raise GraphError("loss was not produced by an operation recorded on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=loss.dtype)}
-    for out, inputs, backward_fn in reversed(tape._nodes):
+    tape._released = release
+    nodes = _popped(tape._nodes) if release else reversed(tape._nodes)
+    for out, inputs, backward_fn in nodes:
         out_adj = adjoints.get(id(out))
         if out_adj is None:
             continue  # not on the path from loss

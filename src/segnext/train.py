@@ -275,7 +275,7 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
         loss_val = float(loss.item())
         if not np.isfinite(loss_val):
             raise TrainingDiverged(f"loss became non-finite at iteration {it}")
-        grads = backward(tape, loss)
+        grads = backward(tape, loss, release=True)
         adamw_step(params, grads, optim, step_lr)
 
         line = f"{it}\t{loss_val:.6f}\t{step_lr:.8f}"

@@ -98,7 +98,8 @@ class TestConvForward:
 
 @pytest.mark.parametrize("ci,co,k,s,p,g,h,w", REGIMES)
 def test_conv_gradients_match_finite_differences(ci, co, k, s, p, g, h, w):
-    rng = np.random.default_rng(hash((co, k, g, "grad")) % 2**32)
+    # Seeded from ints only: hash() of a str changes with PYTHONHASHSEED.
+    rng = np.random.default_rng([co, *k, g, 1])
     spec = ops.ConvSpec(co, ci, k, stride=s, padding=p, groups=g)
     x = rng.normal(size=(1, ci, h, w))
     wt = rng.normal(size=spec.weight_shape) * 0.5
@@ -223,6 +224,24 @@ class TestDepthwiseChannelBlocks:
         padded_and_out = x.data.nbytes * (66 * 66 / (64 * 64) + 1)
         rows = x.data.nbytes * 3 * 18 / 16
         assert peak - padded_and_out < rows / 2
+
+    def test_float32_3x3_under_a_tape_keeps_no_padded_copy(self):
+        # The backward re-pads x, so the node holds just x and the output.
+        rng = np.random.default_rng(0)
+        spec = ops.ConvSpec(64, 64, (3, 3), groups=64)
+        x = Tensor(rng.normal(size=(1, 64, 64, 64)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=spec.weight_shape).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros((1, 64, 1, 1), np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                out = ops.conv2d(x, w, b, spec)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        # x was allocated before tracing started.
+        assert x.data.nbytes + held < 1.1 * (x.data.nbytes + out.data.nbytes)
 
 
 class TestConvValidation:

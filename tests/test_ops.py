@@ -122,6 +122,21 @@ class TestBatchNorm:
         want = fd_gradient(f_gamma, bn.gamma.data.copy())
         assert rel_err(g.of(bn.gamma), want) < 1e-5
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_node_keeps_no_normalized_copy(self, training):
+        # Backward recomputes xhat from x; the only input-sized array its
+        # closure may hold is x itself.
+        x = Tensor(np.random.default_rng(8).normal(size=(2, 3, 4, 4)), requires_grad=True)
+        bn = make_bn(3)
+        with GradTape() as tape:
+            ops.batchnorm2d(x, bn.gamma, bn.beta,
+                            bn.running_mean, bn.running_var, 1e-5, training, 0.1)
+        (out, _, bwd), = tape._nodes
+        held = [c.cell_contents for c in bwd.__closure__]
+        held = [v.data if isinstance(v, Tensor) else v for v in held]
+        big = [a for a in held if isinstance(a, np.ndarray) and a.size == x.size]
+        assert big and all(a is x.data or a is out.data for a in big)
+
     def test_eval_mode_accepts_empty_batch(self):
         bn = make_bn(3)
         y = ops.batchnorm2d(Tensor(np.zeros((0, 3, 4, 5))), bn.gamma, bn.beta,

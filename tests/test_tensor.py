@@ -1,4 +1,6 @@
 import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,15 @@ from segnext.encoder import preset
 from segnext.model import build_model
 from segnext.tensor import (CostSink, GradTape, GraphError, ShapeError, Tensor,
                             backward, recording)
+
+
+DECODER_VARIANTS = {
+    "a": {"decoder_variant": "a"},
+    "b": {"decoder_variant": "b"},
+    "c": {},
+    "c+stage1": {"include_stage1_in_decoder": True},
+    "c-msca": {"use_msca": False},
+}
 
 
 def t(arr, grad=False):
@@ -147,6 +158,44 @@ class TestBackward:
         g1 = backward(tape, loss).of(x)
         g2 = backward(tape, loss).of(x)
         np.testing.assert_array_equal(g1, g2)
+
+    def test_released_backward_frees_nodes_and_keeps_len(self):
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)), requires_grad=True)
+        with GradTape() as tape:
+            loss = ops.mean_all(ops.gelu(ops.mul(x, x)))
+        square = weakref.ref(tape._nodes[0][0].data)
+        want = backward(tape, loss).of(x)
+        assert square() is not None  # the default keeps the tape whole
+        got = backward(tape, loss, release=True).of(x)
+        np.testing.assert_array_equal(got, want)
+        assert len(tape) == 3 and tape._nodes == []
+        assert square() is None
+
+    @pytest.mark.parametrize("release", [False, True])
+    def test_backward_over_a_released_tape_raises(self, release):
+        x = t([[[[1.0, 2.0]]]], grad=True)
+        with GradTape() as tape:
+            loss = ops.sum_all(ops.mul(x, x))
+        backward(tape, loss, release=True)
+        with pytest.raises(GraphError, match="released"):
+            backward(tape, loss, release=release)
+
+    @pytest.mark.parametrize("variant", sorted(DECODER_VARIANTS))
+    def test_release_gives_bitwise_equal_gradients(self, variant):
+        cfg = replace(preset("mscan-micro"), drop_path=0.3, **DECODER_VARIANTS[variant])
+        model = build_model(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(2, 3, 64, 64)).astype(np.float32))
+        labels = rng.integers(0, cfg.num_classes, size=(2, 64, 64))
+
+        def grads(release):
+            with GradTape() as tape:
+                logits = model.forward(x, training=True, rng=np.random.default_rng(2))
+                loss = ops.softmax_cross_entropy(logits, labels)
+            g = backward(tape, loss, release=release)
+            return [g.of(e.tensor).tobytes() for e in model.parameters()]
+
+        assert grads(True) == grads(False)
 
     def test_no_recording_outside_tape(self):
         x = t([[[[1.0]]]], grad=True)
