@@ -1,5 +1,6 @@
 """Elementwise, normalization, resize, matmul, and loss primitives against
 loop oracles and finite differences."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -286,6 +287,19 @@ class TestActivations:
         x = np.array([-1.0, 0.5]).reshape(1, 1, 1, 2)
         want = x * (0.5 * (1.0 + real_erf(x * 0.7071067811865476)))
         assert ops.gelu(Tensor(x)).data.tobytes() == want.tobytes()
+
+    def test_erf_float64_within_1e15_of_math_erf(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array([0.0, tiny, 1e-310, np.finfo(np.float64).smallest_normal - tiny,
+                          1e-300, 1e-20, 1.0, np.nextafter(1.0, 2.0), 6.0, 8.0, 27.0, 40.0])
+        x = np.concatenate([edges, -edges, np.linspace(-40, 40, 400_001),
+                            np.random.default_rng(6).normal(scale=2, size=200_000)])
+        got = ops._erf_f64(x)
+        want = np.array([math.erf(v) for v in x])
+        assert (np.signbit(got) == np.signbit(want)).all()  # erf(-0) is -0
+        assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
+        special_values = ops._erf_f64(np.array([np.inf, -np.inf, np.nan]))
+        assert special_values[:2].tolist() == [1.0, -1.0] and np.isnan(special_values[2])
 
     def test_relu_and_gradient(self):
         x = np.array([-1.0, 0.5, 2.0]).reshape(1, 1, 1, 3)
