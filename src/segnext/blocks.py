@@ -212,29 +212,23 @@ def large_kernel_block_forward(x: Tensor, p: BlockParams, training: bool = False
     return _block_forward(x, p, training, drop_path, rng)
 
 
-def _residual_gate(x: Tensor, training: bool, drop_path: float,
-                   rng: np.random.Generator | None) -> Tensor | None:
-    if not training or drop_path <= 0.0:
-        return None
-    if rng is None:
-        raise ValueError("drop_path > 0 in training mode needs an rng")
-    n = x.shape[0]
-    keep = (rng.random(n) >= drop_path).astype(x.data.dtype) / (1.0 - drop_path)
-    return Tensor(keep.reshape(n, 1, 1, 1))
+def _residual(x: Tensor, y: Tensor, layer_scale: Tensor, training: bool,
+              drop_path: float, rng: np.random.Generator | None) -> Tensor:
+    """``x`` plus the branch ``y`` times its layer scale and, in training
+    with ``drop_path`` > 0, a per-sample keep gate drawn from ``rng``."""
+    y = ops.scale(y, layer_scale)
+    if training and drop_path > 0.0:
+        if rng is None:
+            raise ValueError("drop_path > 0 in training mode needs an rng")
+        n = x.shape[0]
+        keep = (rng.random(n) >= drop_path).astype(x.data.dtype) / (1.0 - drop_path)
+        y = ops.scale(y, Tensor(keep.reshape(n, 1, 1, 1)))
+    return ops.add(x, y)
 
 
 def _block_forward(x: Tensor, p: BlockParams, training: bool,
                    drop_path: float, rng: np.random.Generator | None) -> Tensor:
     y = _attention_sub_block(norm(x, p.norm1, training), p)
-    y = ops.scale(y, p.layer_scale1)
-    gate = _residual_gate(x, training, drop_path, rng)
-    if gate is not None:
-        y = ops.scale(y, gate)
-    x = ops.add(x, y)
-
+    x = _residual(x, y, p.layer_scale1, training, drop_path, rng)
     y = _ffn_sub_block(norm(x, p.norm2, training), p)
-    y = ops.scale(y, p.layer_scale2)
-    gate = _residual_gate(x, training, drop_path, rng)
-    if gate is not None:
-        y = ops.scale(y, gate)
-    return ops.add(x, y)
+    return _residual(x, y, p.layer_scale2, training, drop_path, rng)

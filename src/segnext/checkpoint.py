@@ -3,6 +3,7 @@ parameter and buffer tables (float32 little-endian), optional optimizer
 state, and a trailing CRC32. Writes are atomic (temp file then rename)."""
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -62,11 +63,11 @@ class _Reader:
         (name_len,) = self.unpack("<H")
         name = _utf8(self.take(name_len), "array name")
         (ndim,) = self.unpack("<B")
-        shape = self.unpack(f"<{ndim}I")
-        count = 1
-        for d in shape:
-            count *= d
-        return name, np.frombuffer(self.take(count * 4), dtype="<f4").reshape(shape)
+        return name, self.floats(self.unpack(f"<{ndim}I"))
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Read-only view of the next little-endian float32 table of ``shape``."""
+        return np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
 
 
 def save_checkpoint(model: SegModel, path, optim: OptimState | None = None,
@@ -166,13 +167,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         t, b1, b2, eps, wd, _ = r.unpack("<Qddddd")
         optim = OptimState(betas=(b1, b2), eps=eps, weight_decay=wd, t=int(t))
         for e in params:
-            size = e.tensor.data.size
-            optim.m[e.name] = np.frombuffer(
-                r.take(size * 4), dtype="<f4"
-            ).reshape(e.tensor.data.shape).astype(np.float32)
-            optim.v[e.name] = np.frombuffer(
-                r.take(size * 4), dtype="<f4"
-            ).reshape(e.tensor.data.shape).astype(np.float32)
+            optim.m[e.name] = r.floats(e.tensor.data.shape).astype(np.float32)
+            optim.v[e.name] = r.floats(e.tensor.data.shape).astype(np.float32)
     if r.pos != len(r.buf):
         raise CheckpointError(f"{len(r.buf) - r.pos} unexpected trailing bytes")
     return LoadedCheckpoint(model, optim, run_cfg)

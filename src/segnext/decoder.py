@@ -7,6 +7,8 @@ multiplicative-update NMF (gradients unrolled through the iterations), adds
 the rectified features back, classifies, and upsamples to the input size.
 When stage 1 is included (an ablation), aggregation moves to the stride-4
 grid so the added low-level detail is actually used at its own resolution.
+The update rule is written once, as taped ops in ``_nmf_steps``; the head
+and the matrix-level ``nmf_factorize`` both run it.
 
 Variant "a" is a pure 1x1-projection design: project each stage, resize all
 four to stride 4, concatenate, fuse, classify. Variant "b" is a heavy head
@@ -44,10 +46,15 @@ def nmf_factorize(x: np.ndarray, rank: int, iters: int, seed: int):
 
     Returns (bases, codes, residuals) where residuals holds the Frobenius
     reconstruction error before any update and after each half-step (codes
-    update, then bases update), 2*iters + 1 values in total.
+    update, then bases update), 2*iters + 1 values in total. An input that
+    is neither float32 nor float64 is factorized as its float64 copy.
     """
     if x.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {x.shape}")
+    if x.dtype not in (np.float32, np.float64):
+        x = x.astype(np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("factorization input must be finite")
     if np.any(x < 0):
         raise ValueError("factorization input must be non-negative")
     c, hw = x.shape
@@ -55,16 +62,10 @@ def nmf_factorize(x: np.ndarray, rank: int, iters: int, seed: int):
         raise ValueError(f"rank must be in [1, min{c, hw}], got {rank}")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    w, h = _nmf_init(seed, c, rank, hw, x.dtype)
-    residuals = [float(np.linalg.norm(x - w @ h))]
-    for _ in range(iters):
-        wt = w.T
-        h = h * (wt @ x) / ((wt @ w) @ h + NMF_EPS)
-        residuals.append(float(np.linalg.norm(x - w @ h)))
-        ht = h.T
-        w = w * (x @ ht) / (w @ (h @ ht) + NMF_EPS)
-        residuals.append(float(np.linalg.norm(x - w @ h)))
-    return w, h, residuals
+    residuals = []
+    for w, h in _nmf_steps(Tensor(x[None, None]), rank, iters, seed):
+        residuals.append(float(np.linalg.norm(x - w.data[0, 0] @ h.data[0, 0])))
+    return w.data[0, 0], h.data[0, 0], residuals
 
 
 def nmf_reconstruct(x: np.ndarray, rank: int, iters: int, seed: int) -> np.ndarray:
@@ -73,29 +74,38 @@ def nmf_reconstruct(x: np.ndarray, rank: int, iters: int, seed: int) -> np.ndarr
     return w @ h
 
 
-@scope("decoder.nmf")
-def _nmf_reconstruct_tensor(x: Tensor, rank: int, iters: int, seed: int) -> Tensor:
-    """Tape-recorded NMF over a batched (N, 1, C, HW) tensor.
+def _nmf_steps(x: Tensor, rank: int, iters: int, seed: int):
+    """The multiplicative updates over a batched (N, 1, C, HW) tensor.
 
-    Same update rule and init draws as :func:`nmf_factorize`, tiled over the
-    batch; the seeded factor init is a constant, gradients flow through the
-    unrolled updates into ``x``.
+    Yields the factors (W, H) after the seeded init, which is a constant
+    tiled over the batch, and after each half-step: codes, then bases. Under
+    a tape, gradients flow through the unrolled updates into ``x``.
     """
-    n, one, c, hw = x.shape
-    if one != 1:
-        raise ShapeError(f"expected shape (N, 1, C, HW), got {tuple(x.shape)}")
-    w0, h0 = _nmf_init(seed, c, rank, hw, x.data.dtype)
+    n, _, c, hw = x.shape
+    w0, h0 = _nmf_init(seed, c, rank, hw, x.dtype)
     w = Tensor(np.broadcast_to(w0, (n, 1, c, rank)).copy())
     h = Tensor(np.broadcast_to(h0, (n, 1, rank, hw)).copy())
+    yield w, h
     for _ in range(iters):
         wt = ops.mat_transpose(w)
         numer = ops.matmul(wt, x)
         denom = ops.add_scalar(ops.matmul(ops.matmul(wt, w), h), NMF_EPS)
         h = ops.div(ops.mul(h, numer), denom)
+        yield w, h
         ht = ops.mat_transpose(h)
         numer = ops.matmul(x, ht)
         denom = ops.add_scalar(ops.matmul(w, ops.matmul(h, ht)), NMF_EPS)
         w = ops.div(ops.mul(w, numer), denom)
+        yield w, h
+
+
+@scope("decoder.nmf")
+def _nmf_reconstruct_tensor(x: Tensor, rank: int, iters: int, seed: int) -> Tensor:
+    """Tape-recorded NMF reconstruction W @ H of a batched (N, 1, C, HW) tensor."""
+    if x.shape[1] != 1:
+        raise ShapeError(f"expected shape (N, 1, C, HW), got {tuple(x.shape)}")
+    for w, h in _nmf_steps(x, rank, iters, seed):
+        pass
     return ops.matmul(w, h)
 
 

@@ -169,21 +169,13 @@ def build_encoder(cfg: ModelConfig, seed: int, dtype=np.float32, init: bool = Tr
     stages: list[Stage] = []
     prev = 3
     for i, sc in enumerate(cfg.stages):
-        if i == 0:
-            mid = sc.channels // 2
-            down = [
-                DownsampleLayer(make_conv(rng, _down_spec(prev, mid), dtype), make_norm(mid, dtype)),
-                DownsampleLayer(
-                    make_conv(rng, _down_spec(mid, sc.channels), dtype), make_norm(sc.channels, dtype)
-                ),
-            ]
-        else:
-            down = [
-                DownsampleLayer(
-                    make_conv(rng, _down_spec(prev, sc.channels), dtype),
-                    make_norm(sc.channels, dtype),
-                )
-            ]
+        # The stem runs two stride-2 convs, the first to half the stage
+        # width; later stages downsample once.
+        widths = [prev, sc.channels // 2, sc.channels] if i == 0 else [prev, sc.channels]
+        down = [
+            DownsampleLayer(make_conv(rng, _down_spec(a, b), dtype), make_norm(b, dtype))
+            for a, b in zip(widths, widths[1:])
+        ]
         blocks = [
             make_block(rng, sc.channels, sc.expansion, multi_scale=cfg.use_msca, dtype=dtype)
             for _ in range(sc.depth)

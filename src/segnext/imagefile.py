@@ -104,18 +104,23 @@ def write_ppm(path, image) -> None:
     atomic_write(path, b"P6\n%d %d\n255\n" % (w, h) + arr.tobytes())
 
 
-def read_ppm(path) -> Tensor:
-    """Returns a 1x3xHxW float32 tensor scaled to [0,1]."""
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """The HxWx``channels`` uint8 payload of a binary Netpbm file."""
     with open(os.fspath(path), "rb") as fh:
         buf = fh.read()
-    w, h, offset = _parse_header(buf, b"P6")
-    need = w * h * 3
+    w, h, offset = _parse_header(buf, magic)
+    need = w * h * channels
     payload = buf[offset:offset + need]
     if len(payload) < need:
         raise ImageFormatError(
             f"payload holds {len(payload)} bytes, header promises {need}"
         )
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+
+
+def read_ppm(path) -> Tensor:
+    """Returns a 1x3xHxW float32 tensor scaled to [0,1]."""
+    arr = _read_netpbm(path, b"P6", 3)
     img = (arr.astype(np.float32) / 255.0).transpose(2, 0, 1)
     return Tensor(np.ascontiguousarray(img[None]))
 
@@ -137,13 +142,4 @@ def write_pgm(path, labels: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """Returns an HxW int64 map; the value 255 passes through unchanged."""
-    with open(os.fspath(path), "rb") as fh:
-        buf = fh.read()
-    w, h, offset = _parse_header(buf, b"P5")
-    need = w * h
-    payload = buf[offset:offset + need]
-    if len(payload) < need:
-        raise ImageFormatError(
-            f"payload holds {len(payload)} bytes, header promises {need}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).astype(np.int64)
+    return _read_netpbm(path, b"P5", 1)[..., 0].astype(np.int64)

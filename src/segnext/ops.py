@@ -176,13 +176,26 @@ def _banded_depthwise(xp: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
     return out.reshape(n, c, oh, tiles * t)[..., :ow]
 
 
+def _group_cols(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    """Im2col columns (g, n*oh*ow, cg*kh*kw) of a padded input, one matrix
+    per group; the forward and the backward share this layout."""
+    n = xp.shape[0]
+    g = spec.groups
+    cg = spec.in_channels // g
+    kh, kw = spec.kernel
+    pv = _patches(xp, kh, kw, *spec.stride, oh, ow)
+    return (
+        pv.reshape(n, g, cg, oh, ow, kh, kw)
+        .transpose(1, 0, 3, 4, 2, 5, 6)
+        .reshape(g, n * oh * ow, cg * kh * kw)
+    )
+
+
 def _conv_forward(xp: np.ndarray, w: np.ndarray, spec: ConvSpec,
                   oh: int, ow: int) -> np.ndarray:
     n = xp.shape[0]
     o = spec.out_channels
     g = spec.groups
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
     if _is_pointwise(spec):
         # One GEMM over channels.
         c = spec.in_channels
@@ -190,17 +203,10 @@ def _conv_forward(xp: np.ndarray, w: np.ndarray, spec: ConvSpec,
         return out.reshape(n, o, oh, ow)
     if _is_depthwise(spec):
         return _banded_depthwise(xp, w[:, 0], spec.stride, oh, ow)
-    pv = _patches(xp, kh, kw, sh, sw, oh, ow)
-    cg = spec.in_channels // g
-    og = o // g
     # Batched GEMM per group: (g, n*oh*ow, cg*kh*kw) @ (g, cg*kh*kw, og).
-    cols = (
-        pv.reshape(n, g, cg, oh, ow, kh, kw)
-        .transpose(1, 0, 3, 4, 2, 5, 6)
-        .reshape(g, n * oh * ow, cg * kh * kw)
-    )
-    wg = w.reshape(g, og, cg * kh * kw).transpose(0, 2, 1)
-    out = np.matmul(cols, wg)  # (g, n*oh*ow, og)
+    og = o // g
+    wg = w.reshape(g, og, -1).transpose(0, 2, 1)
+    out = np.matmul(_group_cols(xp, spec, oh, ow), wg)  # (g, n*oh*ow, og)
     return (
         out.reshape(g, n, oh, ow, og).transpose(1, 0, 4, 2, 3).reshape(n, o, oh, ow)
     )
@@ -272,14 +278,9 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
             dx = _banded_depthwise(frame, wk[:, ::-1, ::-1], (1, 1), h, w_)
         return dx, dw
 
-    # General grouped path, mirroring the forward's column layout.
+    # General grouped path, on the forward's column layout.
     go = grad.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2).reshape(g, n * oh * ow, og)
-    pv = _patches(xp, kh, kw, sh, sw, oh, ow)
-    cols = (
-        pv.reshape(n, g, cg, oh, ow, kh, kw)
-        .transpose(1, 0, 3, 4, 2, 5, 6)
-        .reshape(g, n * oh * ow, cg * kh * kw)
-    )
+    cols = _group_cols(xp, spec, oh, ow)
     dwg = np.matmul(cols.transpose(0, 2, 1), go)  # (g, cg*kh*kw, og)
     dw = dwg.reshape(g, cg, kh, kw, og).transpose(0, 4, 1, 2, 3).reshape(w.shape)
     dx = None

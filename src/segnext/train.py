@@ -160,8 +160,8 @@ def ms_flip_inference(model: SegModel, image: Tensor, scales=(1.0,),
     scales = tuple(scales)
     if not scales:
         raise ValueError("scales must be non-empty")
-    if any(s <= 0 for s in scales):
-        raise ValueError(f"scales must be positive, got {scales}")
+    if not all(0 < s < np.inf for s in scales):
+        raise ValueError(f"scales must be positive and finite, got {scales}")
     _, _, h, w = image.shape
     total = None
     count = 0

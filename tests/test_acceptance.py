@@ -8,6 +8,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import oracles
 from segnext import ops
@@ -343,6 +344,7 @@ def test_07_factorization_descent_and_recovery():
              f"worst residual rise {worst_rise:.2e}, rank-1 rel residual {rel:.2e}")
 
 
+@pytest.mark.slow
 def test_08_training_reaches_target_accuracy():
     t0 = time.perf_counter()
     cfg = preset("mscan-micro")

@@ -3,9 +3,12 @@ error contract."""
 import numpy as np
 import pytest
 
+from segnext.checkpoint import save_checkpoint
 from segnext.cli import main
 from segnext.data import synth_dataset
+from segnext.encoder import preset
 from segnext.imagefile import read_pgm, write_ppm
+from segnext.model import build_model
 
 MICRO_CFG = """\
 [model]
@@ -122,6 +125,14 @@ class TestTrainEvalInfer:
     def test_eval_missing_checkpoint(self, cfg_path, capsys):
         code, _, err = run(capsys, "eval", cfg_path, "--checkpoint", "/no.ckpt")
         assert code == 1 and err.startswith("error: ")
+
+    def test_eval_non_finite_scale_is_one_line_error(self, cfg_path, tmp_path, capsys):
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(build_model(preset("mscan-micro"), 3), ckpt)
+        for scales in ("inf", "1.0,nan"):
+            code, _, err = run(capsys, "eval", cfg_path, "--checkpoint", ckpt,
+                               "--scales", scales)
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
     def test_train_deterministic_across_runs(self, cfg_path, tmp_path, capsys):
         # Same config twice (same out_dir, so the embedded snapshots match):

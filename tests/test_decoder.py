@@ -77,6 +77,20 @@ class TestFactorization:
             nmf_factorize(x, rank=2, iters=0, seed=0)
         with pytest.raises(ShapeError):
             nmf_factorize(x[0], rank=2, iters=3, seed=0)
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y[2, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                nmf_factorize(y, rank=2, iters=3, seed=0)
+
+    def test_integer_input_factorized_as_float64(self):
+        x = np.arange(12).reshape(3, 4)
+        w, h, res = nmf_factorize(x, rank=2, iters=3, seed=0)
+        want_w, want_h, want_res = nmf_factorize(x.astype(np.float64), rank=2, iters=3, seed=0)
+        assert w.dtype == h.dtype == np.float64
+        assert w.tobytes() == want_w.tobytes() and h.tobytes() == want_h.tobytes()
+        assert res == want_res
+        assert res[-1] < 0.5 * res[0]
 
     def test_batched_tensor_path_matches_matrix_path(self):
         rng = np.random.default_rng(4)

@@ -274,19 +274,21 @@ class TestActivations:
         assert got.dtype == np.float32
         assert np.abs(got - want).max() < 1e-6
 
-    def test_gelu_float32_does_not_call_scipy_erf(self, monkeypatch):
-        real_erf = special.erf
+    def test_gelu_float32_does_not_call_float64_erf(self, monkeypatch):
+        calls = []
+        real_erf = ops._erf_f64
 
-        def erf(x, *args, **kwargs):
-            if np.asarray(x).dtype == np.float32:
-                raise AssertionError("float32 GELU called scipy.special.erf")
-            return real_erf(x, *args, **kwargs)
+        def erf(x):
+            calls.append(x.dtype)
+            return real_erf(x)
 
-        monkeypatch.setattr(special, "erf", erf)
+        monkeypatch.setattr(ops, "_erf_f64", erf)
         ops.gelu(Tensor(np.float32([-1.0, 0.5, 2.0]).reshape(1, 1, 1, 3)))
+        assert calls == [], "float32 GELU called the float64 erf"
         x = np.array([-1.0, 0.5]).reshape(1, 1, 1, 2)
-        want = x * (0.5 * (1.0 + real_erf(x * 0.7071067811865476)))
+        want = x * (0.5 * (1.0 + special.erf(x * 0.7071067811865476)))
         assert ops.gelu(Tensor(x)).data.tobytes() == want.tobytes()
+        assert calls == [np.float64]
 
     def test_erf_float64_within_1e15_of_math_erf(self):
         tiny = np.finfo(np.float64).smallest_subnormal

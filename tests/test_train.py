@@ -253,6 +253,9 @@ class TestMsFlip:
             ms_flip_inference(micro_model, one_image, scales=())
         with pytest.raises(ValueError):
             ms_flip_inference(micro_model, one_image, scales=(1.0, -0.5))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ms_flip_inference(micro_model, one_image, scales=(1.0, bad))
 
     def test_predict_returns_label_map(self, micro_model, one_image):
         out = predict(micro_model, one_image)
