@@ -54,8 +54,8 @@ def _parse_scales(text: str) -> tuple[float, ...]:
 
 
 def _data_seeds(seed: int) -> tuple[int, int]:
-    # Children 0-2 of the root sequence belong to the training loop; the
-    # dataset draws from children 3 and 4 so nothing overlaps.
+    # Children 0-2 and 5 of the root sequence belong to the training loop;
+    # the datasets draw from children 3 and 4 so nothing overlaps.
     ss = np.random.SeedSequence(seed).spawn(5)
     return (int(ss[3].generate_state(1, np.uint32)[0]),
             int(ss[4].generate_state(1, np.uint32)[0]))

@@ -5,6 +5,10 @@ blob per foreground class. Strips are 2-4 px wide, at least half the image
 long, in one of four orientations (horizontal, vertical, two diagonals).
 Blobs carry most of each class's area. Every class renders with its own
 color; pixel noise keeps the task nontrivial.
+
+Label maps are ``uint8``, as in the 8-bit label files of ADE20K, COCO-Stuff
+and Cityscapes, and 255 (``IGNORE_INDEX``) marks pixels the loss and the
+metrics skip, so a synthetic dataset has at most 255 classes.
 """
 from __future__ import annotations
 
@@ -26,7 +30,9 @@ _ORIENTATIONS = ("horizontal", "vertical", "diag_down", "diag_up")
 
 @dataclass
 class SegSample:
-    """One image-label pair. Image is 1x3xHxW in [0,1]; label is HxW int."""
+    """One image-label pair. Image is 1x3xHxW in [0,1]; label is an HxW
+    integer array (``uint8`` from ``synth_dataset``), with ``IGNORE_INDEX``
+    marking pixels to skip."""
 
     image: Tensor
     label: np.ndarray
@@ -116,6 +122,14 @@ def _paint_scene(label: np.ndarray, rng: np.random.Generator,
         _paint_blob(label, rng, cls)
 
 
+def _check_scene_args(size: int, num_classes: int) -> None:
+    if size < 64:
+        raise ValueError(f"size must be >= 64, got {size}")
+    if not 2 <= num_classes <= IGNORE_INDEX:
+        raise ValueError(f"num_classes must be in [2, {IGNORE_INDEX}], since label "
+                         f"maps are uint8 and {IGNORE_INDEX} means ignore; got {num_classes}")
+
+
 def target_mix(num_classes: int, size: int) -> np.ndarray:
     """Design class-pixel fractions, shape (num_classes,), summing to 1.
 
@@ -123,33 +137,31 @@ def target_mix(num_classes: int, size: int) -> np.ndarray:
     so the target tracks the painter exactly instead of relying on a
     closed-form overlap model. Deterministic for given arguments.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if size < 64:
-        raise ValueError(f"size must be >= 64, got {size}")
+    _check_scene_args(size, num_classes)
     rng = np.random.default_rng(np.random.SeedSequence(20240601))
     counts = np.zeros(num_classes, dtype=np.int64)
     scenes = 64
     for _ in range(scenes):
-        label = np.zeros((size, size), dtype=np.int64)
+        label = np.zeros((size, size), dtype=np.uint8)
         _paint_scene(label, rng, num_classes)
         counts += np.bincount(label.ravel(), minlength=num_classes)
     return counts / (scenes * size * size)
 
 
 def synth_dataset(seed: int, n: int, size: int, num_classes: int) -> list[SegSample]:
-    """Deterministic list of n scenes. Same seed, same bytes."""
+    """Deterministic list of n scenes. Same seed, same bytes.
+
+    Each label is a ``uint8`` size x size map of class ids in
+    [0, num_classes); num_classes is at most 255, since 255 is
+    ``IGNORE_INDEX``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if size < 64:
-        raise ValueError(f"size must be >= 64, got {size}")
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    _check_scene_args(size, num_classes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     palette = class_palette(num_classes)
     samples = []
     for _ in range(n):
-        label = np.zeros((size, size), dtype=np.int64)
+        label = np.zeros((size, size), dtype=np.uint8)
         _paint_scene(label, rng, num_classes)
         img = palette[label].transpose(2, 0, 1)
         img = img + rng.normal(0.0, NOISE_SIGMA, img.shape)

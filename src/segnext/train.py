@@ -234,10 +234,13 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
         raise ValueError(f"batch must be >= 1, got {batch}")
     if not train_set:
         raise ValueError("training set is empty")
-    ss = np.random.SeedSequence(seed).spawn(3)
+    # Children 3 and 4 seed the CLI's datasets (``cli._data_seeds``); the
+    # drop-path gates take child 5, so no two streams overlap.
+    ss = np.random.SeedSequence(seed).spawn(6)
     model_seed = int(ss[0].generate_state(1, np.uint32)[0])
     rng_order = np.random.default_rng(ss[1])
     rng_aug = np.random.default_rng(ss[2])
+    rng_drop = np.random.default_rng(ss[5])
 
     model = build_model(cfg, model_seed)
     params = model.parameters()
@@ -270,7 +273,7 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
             labels[bi] = s.label
         step_lr = poly_lr(it, sched)
         with GradTape() as tape:
-            logits = model.forward(Tensor(images), training=True)
+            logits = model.forward(Tensor(images), training=True, rng=rng_drop)
             loss = cross_entropy(logits, labels)
         loss_val = float(loss.item())
         if not np.isfinite(loss_val):

@@ -39,6 +39,14 @@ def cfg_path(tmp_path):
     return str(path)
 
 
+def model_cfg(tmp_path, extra_model_line):
+    """The micro config with one more ``[model]`` key."""
+    path = tmp_path / "extra.cfg"
+    path.write_text(MICRO_CFG.format(out=tmp_path / "out").replace(
+        "model = mscan-micro\n", f"model = mscan-micro\n{extra_model_line}\n"))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -134,18 +142,31 @@ class TestTrainEvalInfer:
                                "--scales", scales)
             assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
-    def test_train_deterministic_across_runs(self, cfg_path, tmp_path, capsys):
+    @staticmethod
+    def assert_trains_identically_twice(cfg_path, out_dir, capsys):
         # Same config twice (same out_dir, so the embedded snapshots match):
         # metrics and checkpoint bytes must be identical.
-        out_dir = tmp_path / "out"
         outs = []
         for _ in range(2):
-            code, _, _ = run(capsys, "train", cfg_path)
-            assert code == 0
+            code, _, err = run(capsys, "train", cfg_path)
+            assert code == 0, err
             outs.append((out_dir / "metrics.log").read_text())
             outs.append((out_dir / "checkpoint_final.ckpt").read_bytes())
         assert outs[0] == outs[2]
         assert outs[1] == outs[3]
+
+    def test_train_deterministic_across_runs(self, cfg_path, tmp_path, capsys):
+        self.assert_trains_identically_twice(cfg_path, tmp_path / "out", capsys)
+
+    def test_train_with_drop_path_deterministic(self, tmp_path, capsys):
+        path = model_cfg(tmp_path, "drop_path = 0.1")
+        self.assert_trains_identically_twice(path, tmp_path / "out", capsys)
+
+    def test_train_rejects_class_ids_reaching_ignore(self, tmp_path, capsys):
+        code, out, err = run(capsys, "train", model_cfg(tmp_path, "num_classes = 256"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "num_classes" in err
 
 
 class TestBenchAblate:

@@ -1,5 +1,7 @@
 """Scene generator and augmentation: determinism, geometry bounds, class
 mix, and the flip/scale/crop pipeline."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,32 @@ class TestDataset:
         with pytest.raises(ValueError):
             synth_dataset(0, 1, 64, 1)
 
+    def test_scene_bits_pinned(self):
+        # Digests of the painted class ids, widened to int64, and of the
+        # image bytes: any change to what the painter draws shows here.
+        scenes = synth_dataset(5, 4, 100, 150)
+        labels = b"".join(s.label.astype(np.int64).tobytes() for s in scenes)
+        images = b"".join(s.image.data.tobytes() for s in scenes)
+        assert hashlib.sha256(labels).hexdigest() == (
+            "ee9779a38fdf152ea8204ff9c96a0a2715714ba39b49d359cda2933b9bb1e99a")
+        assert hashlib.sha256(images).hexdigest() == (
+            "15b70fc29862f31b6930b746855c826717344d858c2a868503efd8e1da76a4ab")
+        for s in scenes:
+            assert s.label.dtype == np.uint8
+            assert s.label.nbytes == 100 * 100
+
+    def test_class_ids_stay_below_ignore(self):
+        # 255 is IGNORE_INDEX, so a 256th class would be dropped by the
+        # loss and by mIoU; uint8 labels cannot hold more ids anyway.
+        for k in (256, 257):
+            with pytest.raises(ValueError, match="num_classes"):
+                synth_dataset(0, 1, 64, k)
+            with pytest.raises(ValueError, match="num_classes"):
+                target_mix(k, 64)
+        label = synth_dataset(0, 1, 64, 255)[0].label
+        assert label.max() == 254
+        assert not (label == IGNORE_INDEX).any()
+
     def test_class_mix_within_20pct_of_target(self):
         tm = target_mix(3, 128)
         counts = np.zeros(3, dtype=np.int64)
@@ -201,6 +229,16 @@ class TestAugment:
         b = augment(s, np.random.default_rng(42), crop=32)
         np.testing.assert_array_equal(a.image.data, b.image.data)
         np.testing.assert_array_equal(a.label, b.label)
+
+    def test_labels_stay_uint8(self):
+        s = self.sample(size=128)
+        padded = augment(s, ScriptedRng(flip=True, factor=0.5), crop=96)
+        assert padded.label.dtype == np.uint8
+        assert (padded.label[64:, :] == IGNORE_INDEX).all()
+        for seed in range(4):
+            out = augment(s, np.random.default_rng(seed), crop=96)
+            assert out.label.dtype == np.uint8
+            assert out.label.shape == (96, 96)
 
     def test_crop_must_be_positive(self):
         with pytest.raises(ValueError):
