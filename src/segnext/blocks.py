@@ -69,7 +69,10 @@ class MscaParams:
     local_dw: ConvLayer
     branches: list[StripPair]
     channel_mix: ConvLayer
-    multi_scale: bool = True
+
+    @property
+    def multi_scale(self) -> bool:
+        return len(self.branches) > 1
 
 
 @dataclass
@@ -140,7 +143,6 @@ def make_msca(rng: np.random.Generator | None, channels: int, multi_scale: bool 
         local_dw=make_conv(rng, _dw(channels, (5, 5)), dtype),
         branches=branches,
         channel_mix=make_conv(rng, ConvSpec(channels, channels, (1, 1)), dtype),
-        multi_scale=multi_scale,
     )
 
 

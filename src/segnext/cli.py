@@ -18,7 +18,7 @@ from .encoder import ConfigError
 from .imagefile import ImageFormatError, read_ppm, write_pgm
 from .model import build_model
 from .tensor import GraphError, ShapeError
-from .train import (TrainingDiverged, evaluate, predict, train)
+from .train import TrainingDiverged, data_seeds, evaluate, predict, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,16 +53,8 @@ def _parse_scales(text: str) -> tuple[float, ...]:
         raise ConfigError(f"scales must be comma-separated floats, got {text!r}") from None
 
 
-def _data_seeds(seed: int) -> tuple[int, int]:
-    # Children 0-2 and 5 of the root sequence belong to the training loop;
-    # the datasets draw from children 3 and 4 so nothing overlaps.
-    ss = np.random.SeedSequence(seed).spawn(5)
-    return (int(ss[3].generate_state(1, np.uint32)[0]),
-            int(ss[4].generate_state(1, np.uint32)[0]))
-
-
 def _datasets(rc: RunConfig):
-    train_seed, val_seed = _data_seeds(rc.seed)
+    train_seed, val_seed = data_seeds(rc.seed)
     train_set = synth_dataset(train_seed, rc.data.num_train, rc.data.size,
                               rc.model.num_classes)
     val_set = synth_dataset(val_seed, rc.data.num_val, rc.data.size,

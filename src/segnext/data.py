@@ -7,8 +7,8 @@ Blobs carry most of each class's area. Every class renders with its own
 color; pixel noise keeps the task nontrivial.
 
 Label maps are ``uint8``, as in the 8-bit label files of ADE20K, COCO-Stuff
-and Cityscapes, and 255 (``IGNORE_INDEX``) marks pixels the loss and the
-metrics skip, so a synthetic dataset has at most 255 classes.
+and Cityscapes, and 255 (``ops.IGNORE_INDEX``) marks pixels the loss and
+the metrics skip, so a synthetic dataset has at most 255 classes.
 """
 from __future__ import annotations
 
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .ops import IGNORE_INDEX
 from .tensor import Tensor
-
-IGNORE_INDEX = 255
 
 # Per-pixel Gaussian color noise, standard deviation in [0,1] units.
 NOISE_SIGMA = 0.02

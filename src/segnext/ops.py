@@ -28,6 +28,10 @@ CONVENTION = (
     "bilinear resize=8 per output element; reshapes free"
 )
 
+# The label value that the loss and the metrics skip: crop padding, and the
+# "void" pixels of 8-bit label files.
+IGNORE_INDEX = 255
+
 
 def _per_image(t: Tensor) -> int:
     _, c, h, w = t.shape
@@ -571,12 +575,7 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if h < 1 or w < 1 or c < 1:
         raise ShapeError(f"cannot resize zero-size input of shape {tuple(x.shape)}")
     if out_h == h and out_w == w:
-        out = Tensor(x.data)
-
-        def bwd_id(g: np.ndarray):
-            return (g,)
-
-        return record(out, (x,), bwd_id)
+        return x  # tensors are immutable, so the input serves as the output
 
     _charge((x,), 8 * c * out_h * out_w)
     # The separable linear map y = R_h x R_w^T.
@@ -752,11 +751,11 @@ def mean_all(x: Tensor) -> Tensor:
     return record(out, (x,), bwd)
 
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean pixel cross-entropy with an ignore label, fused with softmax.
 
     ``labels`` is an integer (N, H, W) array; entries equal to
-    ``ignore_index`` contribute neither loss nor gradient.
+    ``IGNORE_INDEX`` contribute neither loss nor gradient.
     """
     n, k, h, w = logits.shape
     if labels.shape != (n, h, w):
@@ -765,7 +764,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
         )
     if not np.issubdtype(labels.dtype, np.integer):
         raise TypeError(f"labels must be integers, got {labels.dtype}")
-    valid = labels != ignore_index
+    valid = labels != IGNORE_INDEX
     m = int(valid.sum())
     if m == 0:
         raise ValueError("cross-entropy undefined: every pixel carries the ignore label")

@@ -34,14 +34,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float32)
         if arr.dtype not in _FLOAT_DTYPES:
-            raise TypeError(f"tensor dtype must be float32 or float64, got {arr.dtype}")
+            arr = arr.astype(np.float32)
         if arr.ndim != 4:
             raise ShapeError(f"tensor must be 4-D (N, C, H, W), got {arr.ndim}-D shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
@@ -101,7 +97,7 @@ class GradTape:
     def __init__(self) -> None:
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
         self._relevant: set[int] = set()
-        self._recorded = 0  # nodes ever recorded; a released backward empties _nodes
+        self._recorded = 0  # nodes ever recorded; backward empties _nodes
         self._released = False
 
     def __enter__(self) -> "GradTape":
@@ -227,19 +223,13 @@ class Gradients:
         return id(t) in self._adjoints
 
 
-def _popped(nodes: list) -> Iterator[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]]:
-    """The nodes, last first, each removed from the list as it is handed out."""
-    while nodes:
-        yield nodes.pop()
-
-
-def backward(tape: GradTape, loss: Tensor, release: bool = False) -> Gradients:
+def backward(tape: GradTape, loss: Tensor) -> Gradients:
     """Replay the tape in exact reverse order, accumulating adjoints.
 
     A tensor consumed k times receives the sum of its k adjoint
-    contributions. Two calls over the same tape are bitwise identical.
-    ``release=True`` frees each node (its output, inputs and adjoint closure)
-    once its adjoint has run, and leaves the tape unusable for another call.
+    contributions. Each node (its output, inputs and adjoint closure) is
+    taken off the tape as its adjoint runs, so memory falls as the replay
+    goes, and the tape cannot serve a second call.
     """
     if tape._released:
         raise GraphError("the tape was released by an earlier backward")
@@ -251,9 +241,10 @@ def backward(tape: GradTape, loss: Tensor, release: bool = False) -> Gradients:
         raise GraphError("loss was not produced by an operation recorded on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=loss.dtype)}
-    tape._released = release
-    nodes = _popped(tape._nodes) if release else reversed(tape._nodes)
-    for out, inputs, backward_fn in nodes:
+    tape._released = True
+    nodes = tape._nodes
+    while nodes:
+        out, inputs, backward_fn = nodes.pop()
         out_adj = adjoints.get(id(out))
         if out_adj is None:
             continue  # not on the path from loss

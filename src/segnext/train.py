@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .data import IGNORE_INDEX, SegSample, augment
+from .data import SegSample, augment
 from .encoder import ModelConfig
-from .model import ParamEntry, SegModel, build_model
-from .ops import softmax_cross_entropy as cross_entropy  # public loss entry point
+from .model import ParamEntry, SegModel, _seed_of, build_model
+from .ops import IGNORE_INDEX, softmax_cross_entropy as cross_entropy  # public loss entry point
 from .tensor import GradTape, Tensor, backward
 
 
@@ -58,9 +58,8 @@ class OptimState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_optim(params: list[ParamEntry], betas=(0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float = 0.01) -> OptimState:
-    state = OptimState(betas=betas, eps=eps, weight_decay=weight_decay)
+def init_optim(params: list[ParamEntry], weight_decay: float = 0.01) -> OptimState:
+    state = OptimState(weight_decay=weight_decay)
     for e in params:
         state.m[e.name] = np.zeros_like(e.tensor.data)
         state.v[e.name] = np.zeros_like(e.tensor.data)
@@ -103,15 +102,16 @@ class IouResult:
     mean: float
 
 
-def confusion(preds, gts, num_classes: int, ignore_index: int = IGNORE_INDEX) -> np.ndarray:
-    """Accumulated (num_classes, num_classes) matrix, rows = ground truth."""
+def confusion(preds, gts, num_classes: int) -> np.ndarray:
+    """Accumulated (num_classes, num_classes) matrix, rows = ground truth.
+    Consumes one (pred, gt) pair at a time; skips ``IGNORE_INDEX`` pixels."""
     mat = np.zeros((num_classes, num_classes), dtype=np.int64)
     for p, g in zip(preds, gts):
         p = np.asarray(p)
         g = np.asarray(g)
         if p.shape != g.shape:
             raise ValueError(f"prediction shape {p.shape} != label shape {g.shape}")
-        keep = g != ignore_index
+        keep = g != IGNORE_INDEX
         pk = p[keep].astype(np.int64)
         gk = g[keep].astype(np.int64)
         if pk.size and (pk.min() < 0 or pk.max() >= num_classes):
@@ -124,8 +124,8 @@ def confusion(preds, gts, num_classes: int, ignore_index: int = IGNORE_INDEX) ->
     return mat
 
 
-def miou(preds, gts, num_classes: int, ignore_index: int = IGNORE_INDEX) -> IouResult:
-    mat = confusion(preds, gts, num_classes, ignore_index)
+def miou(preds, gts, num_classes: int) -> IouResult:
+    mat = confusion(preds, gts, num_classes)
     tp = np.diag(mat).astype(np.float64)
     union = mat.sum(axis=0) + mat.sum(axis=1) - np.diag(mat)
     per_class = np.full(num_classes, np.nan)
@@ -201,9 +201,22 @@ def predict(model: SegModel, image: Tensor, scales=(1.0,), flip: bool = False) -
 
 def evaluate(model: SegModel, samples: list[SegSample], num_classes: int,
              scales=(1.0,), flip: bool = False) -> IouResult:
-    preds = [predict(model, s.image, scales, flip) for s in samples]
-    gts = [s.label for s in samples]
+    # Generators, so that one prediction map is alive at a time.
+    preds = (predict(model, s.image, scales, flip) for s in samples)
+    gts = (s.label for s in samples)
     return miou(preds, gts, num_classes)
+
+
+def _run_streams(seed: int) -> list[np.random.SeedSequence]:
+    """The independent random streams of a run: 0 model init, 1 batch order,
+    2 augmentation, 3 training set, 4 validation set, 5 drop-path gates."""
+    return np.random.SeedSequence(seed).spawn(6)
+
+
+def data_seeds(seed: int) -> tuple[int, int]:
+    """Seeds of a run's training and validation sets (streams 3 and 4)."""
+    ss = _run_streams(seed)
+    return _seed_of(ss[3]), _seed_of(ss[4])
 
 
 @dataclass
@@ -234,10 +247,8 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
         raise ValueError(f"batch must be >= 1, got {batch}")
     if not train_set:
         raise ValueError("training set is empty")
-    # Children 3 and 4 seed the CLI's datasets (``cli._data_seeds``); the
-    # drop-path gates take child 5, so no two streams overlap.
-    ss = np.random.SeedSequence(seed).spawn(6)
-    model_seed = int(ss[0].generate_state(1, np.uint32)[0])
+    ss = _run_streams(seed)
+    model_seed = _seed_of(ss[0])
     rng_order = np.random.default_rng(ss[1])
     rng_aug = np.random.default_rng(ss[2])
     rng_drop = np.random.default_rng(ss[5])
@@ -278,7 +289,7 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
         loss_val = float(loss.item())
         if not np.isfinite(loss_val):
             raise TrainingDiverged(f"loss became non-finite at iteration {it}")
-        grads = backward(tape, loss, release=True)
+        grads = backward(tape, loss)
         adamw_step(params, grads, optim, step_lr)
 
         line = f"{it}\t{loss_val:.6f}\t{step_lr:.8f}"

@@ -67,6 +67,7 @@ class TestMsca:
         # gate(x) = mix(dw5(x) + sum_k strip_k(dw5(x))) * x
         rng = np.random.default_rng(1)
         p = make_msca(rng, 4, dtype=np.float64)
+        assert p.multi_scale
         x = rng.normal(size=(1, 4, 9, 9))
         base = conv_ref(x, p.local_dw)
         att = base.copy()
@@ -79,7 +80,7 @@ class TestMsca:
     def test_single_branch_drops_identity_term(self):
         rng = np.random.default_rng(2)
         p = make_msca(rng, 4, multi_scale=False, dtype=np.float64)
-        assert len(p.branches) == 1
+        assert len(p.branches) == 1 and not p.multi_scale
         assert p.branches[0][0].spec.kernel == (1, 21)
         x = rng.normal(size=(1, 4, 8, 8))
         base = conv_ref(x, p.local_dw)

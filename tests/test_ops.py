@@ -326,9 +326,11 @@ class TestBilinearResize:
 
     def test_same_size_is_identity_bitwise(self):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
-        out = ops.bilinear_resize(Tensor(x), 6, 6)
-        np.testing.assert_array_equal(out.data, x)
+        x = Tensor(rng.normal(size=(1, 2, 6, 6)).astype(np.float32), requires_grad=True)
+        assert ops.bilinear_resize(x, 6, 6) is x
+        with GradTape() as tape:
+            loss = ops.sum_all(ops.mul(ops.bilinear_resize(x, 6, 6), x))
+        np.testing.assert_array_equal(backward(tape, loss).of(x), 2 * x.data)
 
     def test_constant_field_preserved(self):
         x = np.full((1, 1, 5, 5), 3.25)

@@ -34,10 +34,6 @@ class TestTensorConstruction:
         assert Tensor(np.zeros((1, 1, 2, 2), dtype=np.int32)).dtype == np.float32
         assert Tensor([[[[1, 2]]]]).dtype == np.float32
 
-    def test_explicit_bad_dtype_rejected(self):
-        with pytest.raises(TypeError):
-            Tensor(np.zeros((1, 1, 2, 2)), dtype=np.int64)
-
     def test_accepts_both_float_widths(self):
         assert Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32)).dtype == np.float32
         assert Tensor(np.zeros((1, 1, 1, 1), dtype=np.float64)).dtype == np.float64
@@ -150,52 +146,41 @@ class TestBackward:
         g = backward(tape, loss)
         np.testing.assert_allclose(g.of(x), [[[[-4.0, 8.0]]]])
 
-    def test_backward_twice_is_bitwise_identical(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-        with GradTape() as tape:
-            loss = ops.mean_all(ops.gelu(ops.mul(x, x)))
-        g1 = backward(tape, loss).of(x)
-        g2 = backward(tape, loss).of(x)
-        np.testing.assert_array_equal(g1, g2)
-
     def test_released_backward_frees_nodes_and_keeps_len(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)), requires_grad=True)
         with GradTape() as tape:
             loss = ops.mean_all(ops.gelu(ops.mul(x, x)))
         square = weakref.ref(tape._nodes[0][0].data)
-        want = backward(tape, loss).of(x)
-        assert square() is not None  # the default keeps the tape whole
-        got = backward(tape, loss, release=True).of(x)
-        np.testing.assert_array_equal(got, want)
+        backward(tape, loss)
         assert len(tape) == 3 and tape._nodes == []
         assert square() is None
 
-    @pytest.mark.parametrize("release", [False, True])
-    def test_backward_over_a_released_tape_raises(self, release):
+    def test_backward_over_a_released_tape_raises(self):
         x = t([[[[1.0, 2.0]]]], grad=True)
         with GradTape() as tape:
             loss = ops.sum_all(ops.mul(x, x))
-        backward(tape, loss, release=True)
+        backward(tape, loss)
         with pytest.raises(GraphError, match="released"):
-            backward(tape, loss, release=release)
+            backward(tape, loss)
 
     @pytest.mark.parametrize("variant", sorted(DECODER_VARIANTS))
-    def test_release_gives_bitwise_equal_gradients(self, variant):
+    def test_backward_empties_the_tape_and_repeats_bitwise(self, variant):
         cfg = replace(preset("mscan-micro"), drop_path=0.3, **DECODER_VARIANTS[variant])
         model = build_model(cfg, seed=0)
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 3, 64, 64)).astype(np.float32))
         labels = rng.integers(0, cfg.num_classes, size=(2, 64, 64))
 
-        def grads(release):
+        def grads():
             with GradTape() as tape:
                 logits = model.forward(x, training=True, rng=np.random.default_rng(2))
                 loss = ops.softmax_cross_entropy(logits, labels)
-            g = backward(tape, loss, release=release)
+            recorded = len(tape._nodes)
+            g = backward(tape, loss)
+            assert tape._nodes == [] and len(tape) == recorded > 0
             return [g.of(e.tensor).tobytes() for e in model.parameters()]
 
-        assert grads(True) == grads(False)
+        assert grads() == grads()
 
     def test_no_recording_outside_tape(self):
         x = t([[[[1.0]]]], grad=True)
