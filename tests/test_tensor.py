@@ -146,6 +146,22 @@ class TestBackward:
         g = backward(tape, loss)
         np.testing.assert_allclose(g.of(x), [[[[-4.0, 8.0]]]])
 
+    def test_backward_twice_is_bitwise_identical(self):
+        # The tape cannot be replayed, so record the same computation twice.
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        x_bytes = x.data.tobytes()
+
+        def grad():
+            with GradTape() as tape:
+                loss = ops.mean_all(ops.gelu(ops.mul(x, x)))
+            return backward(tape, loss).of(x)
+
+        g1 = grad()
+        g2 = grad()
+        np.testing.assert_array_equal(g1, g2)
+        assert x.data.tobytes() == x_bytes
+
     def test_released_backward_frees_nodes_and_keeps_len(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)), requires_grad=True)
         with GradTape() as tape:
@@ -155,16 +171,20 @@ class TestBackward:
         assert len(tape) == 3 and tape._nodes == []
         assert square() is None
 
-    def test_backward_over_a_released_tape_raises(self):
+    @pytest.mark.parametrize("from_loss", [False, True])
+    def test_backward_over_a_released_tape_raises(self, from_loss):
+        # From an intermediate the emptied tape would yield zero gradients
+        # if the released check did not come first.
         x = t([[[[1.0, 2.0]]]], grad=True)
         with GradTape() as tape:
-            loss = ops.sum_all(ops.mul(x, x))
+            total = ops.sum_all(x)
+            loss = ops.mul(total, total)
         backward(tape, loss)
         with pytest.raises(GraphError, match="released"):
-            backward(tape, loss)
+            backward(tape, loss if from_loss else total)
 
     @pytest.mark.parametrize("variant", sorted(DECODER_VARIANTS))
-    def test_backward_empties_the_tape_and_repeats_bitwise(self, variant):
+    def test_release_gives_bitwise_equal_gradients(self, variant):
         cfg = replace(preset("mscan-micro"), drop_path=0.3, **DECODER_VARIANTS[variant])
         model = build_model(cfg, seed=0)
         rng = np.random.default_rng(1)

@@ -1,5 +1,6 @@
 """Optimizer, schedule, metric, inference-protocol, and training-loop
 contracts, checked against scalar oracles."""
+import importlib
 import tracemalloc
 from dataclasses import replace
 
@@ -22,6 +23,8 @@ from segnext.train import (IouResult, LrSchedule, OptimState, TrainingDiverged,
 from oracles import adamw_scalar_oracle, confusion_loops, miou_from_confusion
 
 MICRO = preset("mscan-micro")
+# The module itself: the package's ``train`` attribute is the function.
+train_mod = importlib.import_module("segnext.train")
 
 
 class FakeGrads:
@@ -362,6 +365,21 @@ class TestTrainLoop:
         assert res.final_miou is not None
         assert isinstance(res.final_miou, IouResult)
         assert res.optim.t == 6
+
+    def test_backward_releases_the_tape(self, monkeypatch):
+        tapes = []
+        real = train_mod.backward
+
+        def spy(tape, loss):
+            tapes.append((tape, len(tape)))
+            return real(tape, loss)
+
+        monkeypatch.setattr(train_mod, "backward", spy)
+        train(MICRO, self.small_set(), iters=2, batch=2, seed=0, crop=32)
+        assert len(tapes) == 2 and tapes[0][0] is not tapes[1][0]
+        for tape, recorded in tapes:
+            assert recorded > 0 and len(tape) == recorded
+            assert tape._nodes == [] and tape._released
 
     def test_identical_seeds_identical_trajectories(self):
         def run():
