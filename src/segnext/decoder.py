@@ -18,6 +18,7 @@ classify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -220,8 +221,59 @@ def _gather(maps: list[Tensor]) -> Tensor:
     return ops.concat_channels(resized)
 
 
+# Bytes of one block of upsampled classes on the argmax path: four 512x512
+# float32 planes, so a segnext-t prediction never holds its 157 MB of
+# full-resolution logits.
+_ARGMAX_BLOCK_BYTES = 4 << 20
+
+
+def _argmax_classes(blocks: Callable[[], Iterable[np.ndarray]]) -> np.ndarray:
+    """``np.argmax(axis=0)`` of the logits that ``blocks()`` yields as
+    (cb, ...) class blocks in class order, folded one plane at a time:
+    numpy would first copy the whole array to put the classes last.
+
+    Strict ``>`` keeps the first maximum, as ``np.argmax`` does. A NaN
+    reaches ``best`` through ``np.maximum``; numpy picks the first NaN
+    class, which a second call of ``blocks`` finds only where one occurs."""
+    planes = (plane for block in blocks() for plane in block)
+    best = next(planes).copy()
+    index = np.zeros(best.shape, dtype=np.int64)
+    above = np.empty(best.shape, dtype=bool)
+    for k, plane in enumerate(planes, start=1):
+        np.greater(plane, best, out=above)
+        np.copyto(index, k, where=above)
+        np.maximum(best, plane, out=best)
+    pending = np.isnan(best)
+    if pending.any():
+        planes = (plane for block in blocks() for plane in block)
+        for k, plane in enumerate(planes):
+            np.logical_and(pending, np.isnan(plane), out=above)
+            np.copyto(index, k, where=above)
+            pending &= ~above
+    return index
+
+
+def _upsampled_blocks(logits: Tensor, out_h: int, out_w: int) -> Iterator[np.ndarray]:
+    """``logits`` upsampled to ``out_h`` x ``out_w`` by ``ops.bilinear_resize``
+    one block of classes at a time, each as (cb, N, out_h, out_w)."""
+    n, k = logits.shape[:2]
+    plane_bytes = max(1, n) * out_h * out_w * logits.dtype.itemsize
+    cb = max(1, _ARGMAX_BLOCK_BYTES // plane_bytes)
+    for c0 in range(0, k, cb):
+        block = ops.bilinear_resize(Tensor(logits.data[:, c0:c0 + cb]), out_h, out_w)
+        yield block.data.transpose(1, 0, 2, 3)
+
+
 @scope("decoder")
-def decoder_forward(feats: EncoderFeatures, p: DecoderParams, training: bool = False) -> Tensor:
-    """Logits of ``p``'s variant, upsampled to the input extent."""
+def decoder_forward(feats: EncoderFeatures, p: DecoderParams, training: bool = False,
+                    argmax: bool = False) -> Tensor | np.ndarray:
+    """Logits of ``p``'s variant, upsampled to the input extent. With
+    ``argmax``, their (N, H, W) int64 class map instead, bitwise equal to
+    ``np.argmax`` over the logits' class axis; the upsample then runs one
+    block of classes at a time, so the full-resolution logits never exist."""
     _check_batch(feats)
-    return ops.bilinear_resize(p.logits(feats, training), feats.input_h, feats.input_w)
+    logits = p.logits(feats, training)
+    h, w = feats.input_h, feats.input_w
+    if argmax:
+        return _argmax_classes(lambda: _upsampled_blocks(logits, h, w))
+    return ops.bilinear_resize(logits, h, w)

@@ -100,9 +100,14 @@ class SegModel(_Registered):
     seed: int
 
     def forward(self, x: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None,
+                argmax: bool = False) -> Tensor | np.ndarray:
+        """Logits at the input extent; with ``argmax``, the (N, H, W) class
+        map of them (see ``decoder_forward``), for inference only."""
+        if argmax and training:
+            raise ValueError("argmax is for inference; training needs the logits")
         feats = encoder_forward(self.encoder, x, training, rng)
-        return decoder_forward(feats, self.decoder, training)
+        return decoder_forward(feats, self.decoder, training, argmax)
 
 
 @dataclass

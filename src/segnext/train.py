@@ -8,6 +8,7 @@ import numpy as np
 
 from . import ops
 from .data import SegSample, augment
+from .decoder import _argmax_classes
 from .encoder import ModelConfig
 from .model import ParamEntry, SegModel, _seed_of, build_model
 from .ops import IGNORE_INDEX, softmax_cross_entropy as cross_entropy  # public loss entry point
@@ -175,28 +176,14 @@ def ms_flip_inference(model: SegModel, image: Tensor, scales=(1.0,),
     return Tensor(total / np.asarray(count, dtype=total.dtype))
 
 
-def _argmax_classes(logits: np.ndarray) -> np.ndarray:
-    """``np.argmax(logits, axis=0)`` for (K, H, W) logits, one (H, W) plane
-    at a time: numpy would first copy the whole array to put K last.
-
-    Strict ``>`` keeps the first maximum, as ``np.argmax`` does. A NaN
-    reaches ``best`` through ``np.maximum``; numpy picks the first NaN, so
-    such maps are left to ``np.argmax``."""
-    best = logits[0].copy()
-    index = np.zeros(best.shape, dtype=np.int64)
-    above = np.empty(best.shape, dtype=bool)
-    for k in range(1, logits.shape[0]):
-        np.greater(logits[k], best, out=above)
-        np.copyto(index, k, where=above)
-        np.maximum(best, logits[k], out=best)
-    if np.isnan(best).any():
-        return np.argmax(logits, axis=0)
-    return index
-
-
 def predict(model: SegModel, image: Tensor, scales=(1.0,), flip: bool = False) -> np.ndarray:
-    logits = ms_flip_inference(model, image, scales, flip)
-    return _argmax_classes(logits.data[0])
+    """Class map of the batch's first image. One scale and no flip take the
+    model's argmax path; otherwise the averaged logits are folded."""
+    scales = tuple(scales)
+    if scales == (1.0,) and not flip:
+        return model.forward(image, argmax=True)[0]
+    logits = ms_flip_inference(model, image, scales, flip).data[0]
+    return _argmax_classes(lambda: [logits])
 
 
 def evaluate(model: SegModel, samples: list[SegSample], num_classes: int,

@@ -1,17 +1,21 @@
 """Segmentation heads: factorization behavior, variant shapes, and the
 unrolled-gradient path."""
+import contextvars
+import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 
-from segnext import ops
+from segnext import decoder, ops
 from segnext.decoder import (NMF_EPS, CoreDecoderParams, HamParams,
                              MlpDecoderParams, _nmf_init,
                              _nmf_reconstruct_tensor, build_decoder,
                              decoder_forward, nmf_factorize, nmf_reconstruct)
 from segnext.encoder import EncoderFeatures, build_encoder, encoder_forward, preset
-from segnext.tensor import GradTape, ShapeError, Tensor, backward
+from segnext.model import build_model
+from segnext.tensor import CostSink, GradTape, ShapeError, Tensor, backward
 
 from oracles import fd_gradient, rel_err
 
@@ -190,3 +194,133 @@ class TestHeads:
             grads = backward(tape, loss)
             for t in collect_tensors(dec):
                 assert np.abs(grads.of(t)).max() > 0, variant
+
+
+# (decoder variant, stage 1 in the decoder, MSCA in the encoder)
+HEADS = [("a", False, True), ("b", False, True), ("c", False, True),
+         ("c", True, True), ("c", False, False)]
+
+
+@cache
+def cached_feats(use_msca, hw):
+    return micro_feats(use_msca=use_msca, n=2, hw=hw)[1]
+
+
+def classes_per_block(monkeypatch, feats, classes):
+    """Set the argmax block to ``classes`` float32 planes of ``feats``'s
+    batch at the input extent; ``None`` keeps the default 4 MB."""
+    if classes is not None:
+        n = feats.f1.shape[0]
+        plane = n * feats.input_h * feats.input_w * 4
+        monkeypatch.setattr(decoder, "_ARGMAX_BLOCK_BYTES", classes * plane)
+
+
+class FixedLogits:
+    """A head whose low-resolution logits are given."""
+
+    def __init__(self, low):
+        self.low = low
+
+    def logits(self, feats, training):
+        return Tensor(self.low)
+
+
+class TestArgmaxPath:
+    """``argmax=True`` must equal ``np.argmax`` of the upsampled logits bit
+    for bit, whatever the block of classes upsampled at a time."""
+
+    @pytest.mark.parametrize("hw", [(64, 96), (97, 131), (192, 192)])
+    @pytest.mark.parametrize("k", [2, 19, 150])
+    @pytest.mark.parametrize("head", HEADS, ids=lambda h: "-".join(map(str, h)))
+    def test_matches_argmax_of_the_logits(self, monkeypatch, head, k, hw):
+        variant, stage1, use_msca = head
+        feats = cached_feats(use_msca, hw)
+        cfg = replace(MICRO, decoder_variant=variant, include_stage1_in_decoder=stage1,
+                      use_msca=use_msca, num_classes=k)
+        dec = build_decoder(cfg, 5)
+        want = np.argmax(decoder_forward(feats, dec).data, axis=1)
+        # 3 classes: a ragged last block for 19 and 150 classes; None:
+        # 4 MB, ragged for 150 classes.
+        for block in (1, 3, None):
+            with monkeypatch.context() as m:
+                classes_per_block(m, feats, block)
+                got = decoder_forward(feats, dec, argmax=True)
+            assert got.dtype == np.int64
+            assert got.shape == (2, *hw)
+            assert np.array_equal(got, want), block
+
+    @pytest.mark.parametrize("classes", [1, 3])
+    @pytest.mark.parametrize("special", ["tie", "inf", "nan", "later-nan"])
+    def test_special_values_across_a_block_boundary(self, monkeypatch, special, classes):
+        feats = cached_feats(True, (64, 96))
+        low = np.random.default_rng(4).standard_normal((2, 7, 8, 12)).astype(np.float32)
+        # With 3 classes a block, 2 | 3 and 5 | 6 are block boundaries.
+        if special == "tie":
+            low[:, 3] = low[:, 2]
+            low[0, 6, :4] = low[0, 5, :4]
+            low[:, 2:4, 2:5, 3:6] = 9.0
+        elif special == "inf":
+            low[:, 2, 1, :] = np.inf
+            low[:, 3, 1, :] = np.inf
+            low[1, 6, :, 4] = np.inf
+            low[0, 3, 5, :] = -np.inf
+        elif special == "nan":
+            low[0, 2, 3, 3] = np.nan
+            low[0, 3, 3, 3] = np.nan
+            low[1, 4, 6, 7] = np.nan
+        else:  # NaN first in the last block only
+            low[1, 6, 2, 9] = np.nan
+        head = FixedLogits(low)
+        classes_per_block(monkeypatch, feats, classes)
+        with np.errstate(invalid="ignore"):
+            want = np.argmax(decoder_forward(feats, head).data, axis=1)
+            got = decoder_forward(feats, head, argmax=True)
+        assert np.array_equal(got, want)
+
+    def test_model_forward_matches_argmax_of_the_logits(self, monkeypatch):
+        model = build_model(replace(MICRO, num_classes=19), seed=2)
+        x = Tensor(np.random.default_rng(3).normal(
+            scale=0.3, size=(2, 3, 97, 131)).astype(np.float32))
+        want = np.argmax(model.forward(x).data, axis=1)
+        monkeypatch.setattr(decoder, "_ARGMAX_BLOCK_BYTES", 1)
+        assert np.array_equal(model.forward(x, argmax=True), want)
+
+    def test_training_with_argmax_raises(self):
+        model = build_model(MICRO, seed=2)
+        x = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
+        with pytest.raises(ValueError, match="argmax"):
+            model.forward(x, training=True, argmax=True)
+
+    def test_peak_memory_below_half_the_logits(self):
+        model = build_model(replace(MICRO, num_classes=150), seed=2)
+        x = Tensor(np.random.default_rng(3).normal(
+            scale=0.3, size=(1, 3, 256, 256)).astype(np.float32))
+        logits_bytes = 150 * 256 * 256 * 4
+        tracemalloc.start()
+        try:
+            model.forward(x, argmax=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < logits_bytes / 2
+
+    @pytest.mark.parametrize("block_bytes", [1, None])
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    def test_charges_the_same_rows_as_the_logits(self, monkeypatch, variant, block_bytes):
+        model = build_model(replace(MICRO, decoder_variant=variant, num_classes=19), seed=2)
+        layer_of = {id(e.tensor): e.name.rpartition(".")[0] for e in model.parameters()}
+        x = Tensor(np.empty((0, 3, 97, 131), dtype=np.float32))
+
+        def charged(argmax):
+            def run():
+                with CostSink(layer_of) as sink:
+                    model.forward(x, argmax=argmax)
+                return sink.rows
+            return contextvars.Context().run(run)
+
+        if block_bytes is not None:
+            monkeypatch.setattr(decoder, "_ARGMAX_BLOCK_BYTES", block_bytes)
+        want = charged(False)
+        got = charged(True)
+        assert got == want
+        assert list(got) == list(want)

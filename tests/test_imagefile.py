@@ -5,6 +5,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segnext.data import synth_dataset
 from segnext.imagefile import (ImageFormatError, read_pgm, read_ppm,
@@ -146,3 +148,68 @@ class TestMalformed:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n")
         assert raw.endswith(bytes(range(6)))
+
+
+def _valid(magic: bytes, channels: int) -> bytes:
+    """A small well-formed file, with a comment line in its header."""
+    return magic + b"\n# c\n3 2\n255\n" + bytes(range(40, 40 + 6 * channels))
+
+
+@st.composite
+def mutated(draw, valid: bytes) -> bytes:
+    """``valid`` with a few bytes replaced, inserted or deleted (mostly in
+    the header, where the parser branches), then possibly truncated."""
+    buf = bytearray(valid)
+    for _ in range(draw(st.integers(0, 4))):
+        hi = draw(st.sampled_from([16, len(buf)]))
+        pos = draw(st.integers(0, max(0, min(hi, len(buf)) - 1)))
+        byte = draw(st.sampled_from([0, 9, 10, 11, 13, 32, 35, 43, 45, 48, 49, 53,
+                                     54, 57, 80, 95, 255]) | st.integers(0, 255))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert" or not buf:
+            buf.insert(pos, byte)
+        elif op == "replace":
+            buf[pos] = byte
+        else:
+            del buf[pos]
+    return bytes(buf[:draw(st.integers(0, len(buf)))])
+
+
+class TestFuzzedParsers:
+    """Mutated and truncated files either parse to a well-formed image or
+    raise ``ImageFormatError``; nothing else escapes."""
+
+    @staticmethod
+    def parse(tmp_path_factory, reader, payload):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.img"
+        path.write_bytes(payload)
+        try:
+            return reader(path)
+        except ImageFormatError:
+            return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=mutated(_valid(b"P6", 3)))
+    def test_read_ppm_raises_only_its_error(self, tmp_path_factory, payload):
+        img = self.parse(tmp_path_factory, read_ppm, payload)
+        if img is not None:
+            assert img.shape[:2] == (1, 3) and img.dtype == np.float32
+            assert 0.0 <= img.data.min() and img.data.max() <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=mutated(_valid(b"P5", 1)))
+    def test_read_pgm_raises_only_its_error(self, tmp_path_factory, payload):
+        labels = self.parse(tmp_path_factory, read_pgm, payload)
+        if labels is not None:
+            assert labels.ndim == 2 and labels.dtype == np.int64
+            assert 0 <= labels.min() and labels.max() <= 255
+
+    @pytest.mark.parametrize("reader,magic,channels", [(read_ppm, b"P6", 3),
+                                                       (read_pgm, b"P5", 1)])
+    def test_every_truncation_raises_its_error(self, tmp_path, reader, magic, channels):
+        valid = _valid(magic, channels)
+        path = tmp_path / "cut.img"
+        for end in range(len(valid)):
+            path.write_bytes(valid[:end])
+            with pytest.raises(ImageFormatError):
+                reader(path)

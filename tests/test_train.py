@@ -263,20 +263,45 @@ class TestMsFlip:
         assert out.dtype == np.int64
         assert out.min() >= 0 and out.max() < 3
 
+    @pytest.mark.parametrize("scales,flip", [((1.0,), False), ([1.0], False),
+                                             ((1.0,), True), ((0.5, 1.0), False)])
+    def test_predict_is_argmax_of_the_averaged_logits(self, micro_model, one_image,
+                                                      scales, flip):
+        logits = ms_flip_inference(micro_model, one_image, scales, flip).data[0]
+        got = predict(micro_model, one_image, scales, flip)
+        assert np.array_equal(got, np.argmax(logits, axis=0))
+
+    def test_single_scale_predict_takes_the_argmax_path(self, monkeypatch,
+                                                        micro_model, one_image):
+        seen = []
+        forward = type(micro_model).forward
+
+        def spy(self, x, training=False, rng=None, argmax=False):
+            seen.append(argmax)
+            return forward(self, x, training, rng, argmax)
+
+        monkeypatch.setattr(type(micro_model), "forward", spy)
+        predict(micro_model, one_image)
+        predict(micro_model, one_image, flip=True)
+        assert seen == [True, False, False]
+
 
 def _logits(k, h=5, w=7, seed=0, dtype=np.float32):
     return np.random.default_rng(seed).standard_normal((k, h, w)).astype(dtype)
 
 
 class TestArgmaxClasses:
-    """``_argmax_classes`` must equal ``np.argmax(axis=0)`` bit for bit."""
+    """``_argmax_classes`` must equal ``np.argmax(axis=0)`` bit for bit,
+    whether the classes come as one block or as several."""
 
     @staticmethod
     def check(logits):
-        got = _argmax_classes(logits)
         want = np.argmax(logits, axis=0)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
+        k = logits.shape[0]
+        for splits in ([], [1], [k // 2], list(range(1, k))):
+            got = _argmax_classes(lambda: np.split(logits, splits))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), splits
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [2, 3, 150])
@@ -317,11 +342,36 @@ class TestArgmaxClasses:
     def test_matches_numpy_on_tie_heavy_inputs(self, logits):
         self.check(logits)
 
+    @pytest.mark.parametrize("first_nan", [0, 1, 3, 5])
+    def test_nan_in_a_later_block_wins_at_its_class(self, first_nan):
+        logits = _logits(6)
+        logits[first_nan, 1, :] = np.nan
+        logits[5, 1:3, 2] = np.nan
+        logits[2, 0, 0] = np.inf
+        for splits in ([2], [3], [1, 4], [5]):
+            blocks = np.split(logits, splits)
+            got = _argmax_classes(lambda: iter(blocks))
+            assert np.array_equal(got, np.argmax(logits, axis=0)), splits
+
+    def test_blocks_are_read_again_only_for_a_nan(self):
+        logits = _logits(4)
+        calls = []
+
+        def blocks():
+            calls.append(1)
+            return np.split(logits, [2])
+
+        _argmax_classes(blocks)
+        assert len(calls) == 1
+        logits[3, 2, 2] = np.nan
+        assert _argmax_classes(blocks)[2, 2] == 3
+        assert len(calls) == 3
+
     def test_allocates_far_less_than_the_logits(self):
         logits = _logits(150, 64, 64)
         tracemalloc.start()
         try:
-            _argmax_classes(logits)
+            _argmax_classes(lambda: [logits])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
