@@ -190,8 +190,11 @@ def _attention_sub_block(x: Tensor, p: BlockParams) -> Tensor:
 
 
 def _ffn_sub_block(x: Tensor, p: BlockParams) -> Tensor:
+    # Each step rebinds y, so without a tape the expansion's output is freed
+    # before GELU runs: at most two hidden-size tensors are live at once.
     y = conv(x, p.ffn_expand)
-    y = ops.gelu(conv(y, p.ffn_dw))
+    y = conv(y, p.ffn_dw)
+    y = ops.gelu(y)
     return conv(y, p.ffn_project)
 
 

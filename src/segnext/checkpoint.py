@@ -135,7 +135,10 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise CheckpointError(f"config text is not a valid config: {exc}") from exc
 
     # Every weight is overwritten below, so nothing is drawn for it.
-    model = build_model(run_cfg.model, int(model_seed), init=False)
+    try:
+        model = build_model(run_cfg.model, int(model_seed), init=False)
+    except MemoryError as exc:
+        raise CheckpointError(f"config describes a model too large to build: {exc}") from None
     params, buffers = model.registry()
     (n_params,) = r.unpack("<I")
     if n_params != len(params):

@@ -16,6 +16,7 @@ reductions and the loss, which no forward runs, are not counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -114,70 +115,148 @@ def _is_pointwise(spec: ConvSpec) -> bool:
     return spec.kernel == (1, 1) and spec.groups == 1 and spec.stride == (1, 1)
 
 
-# Bytes of one channel block's row matrix in ``_banded_depthwise``. L2 is
-# 2 MB per core here, so a block's rows and its output stay in cache.
+# Bytes of one channel block's row matrix in ``_dw_rows``, which depthwise
+# forward and weight gradient share. On a core with a 2 MB L2, a block's rows,
+# its zero-padded channels and its output stay in cache. Only a block is ever
+# padded, so no padded copy of a whole depthwise input is made.
 _DW_BLOCK_BYTES = 1 << 20
 
 
-def _banded_depthwise(xp: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
-                      oh: int, ow: int) -> np.ndarray:
-    """Depthwise cross-correlation of a padded input (N, C, H, W) with one
-    kernel per channel, ``wk`` (C, kh, kw), as batched GEMMs.
+class _Tiling(NamedTuple):
+    """How depthwise rows cut the output into tiles, in the orientation the
+    rows run in: kernels taller than wide run on the transposed input, so
+    the band lies along the long axis (``flip``)."""
+
+    flip: bool
+    kh: int
+    kw: int
+    sh: int
+    sw: int
+    oh: int
+    ow: int
+    t: int  # output columns per tile
+    tiles: int
+    span: int  # input columns a tile reads
+
+    def band_index(self) -> tuple[slice, slice, np.ndarray, np.ndarray]:
+        """Index of a (C, kh, span, t) array at the band: tap v of output
+        column j of a tile meets input column sw*j + v of the tile."""
+        j = np.arange(self.t)
+        return slice(None), slice(None), self.sw * j + np.arange(self.kw)[:, None], j
+
+
+def _tiling(kernel: tuple[int, int], stride: tuple[int, int], oh: int, ow: int) -> _Tiling:
+    (kh, kw), (sh, sw) = kernel, stride
+    flip = kh > kw
+    if flip:
+        kh, kw, sh, sw, oh, ow = kw, kh, sw, sh, ow, oh
+    t = min(ow, max(16, 2 * kw))
+    return _Tiling(flip, kh, kw, sh, sw, oh, ow, t, -(-ow // t), sw * (t - 1) + kw)
+
+
+def _dw_rows(x: np.ndarray, pad: tuple[int, int], tl: _Tiling):
+    """Yield ``(c0, c1, rows)`` for blocks of channels of ``x`` (N, C, H, W):
+    ``rows`` (c1-c0, N, oh*tiles, kh*span) holds, for every output row and
+    tile, the ``kh`` input rows of ``span`` columns that it reads.
+
+    Each block is zero padded by ``pad`` into one reused buffer laid out
+    (N, block, H + 2ph, W + 2pw), as ``np.pad`` would lay out the whole input,
+    in either orientation. Its rows are copied into another reused buffer of
+    about ``_DW_BLOCK_BYTES``. A last tile that overruns the input reads only
+    the columns that exist; the rest of its rows stay zero.
+    """
+    n, c, h, w = x.shape
+    ph, pw = pad
+    kh, sh, sw, oh, t, tiles, span = tl.kh, tl.sh, tl.sw, tl.oh, tl.t, tl.tiles, tl.span
+    wp = h + 2 * ph if tl.flip else w + 2 * pw
+    # Only the last tile can overrun the input: it starts at column `last`.
+    last = sw * t * (tiles - 1)
+    full = tiles if last + span <= wp else tiles - 1
+    cb = min(c, max(1, _DW_BLOCK_BYTES // max(1, n * oh * tiles * kh * span * x.itemsize)))
+    padded = np.zeros((n, cb, h + 2 * ph, w + 2 * pw), x.dtype) if ph or pw else None
+    buf = None
+    for c0 in range(0, c, cb):
+        c1 = min(c0 + cb, c)
+        xp = x[:, c0:c1]
+        if padded is not None:
+            xp = padded[:, : c1 - c0]
+            xp[:, :, ph : ph + h, pw : pw + w] = x[:, c0:c1]
+        if tl.flip:
+            xp = xp.transpose(0, 1, 3, 2)
+        bn, bc, bh, bw = xp.strides
+        win = as_strided(xp, (n, c1 - c0, oh, full, kh, span),
+                         (bn, bc, bh * sh, bw * sw * t, bh, bw), writeable=False)
+        if full == tiles and (kh == 1 or bh == bw * span) and (
+                tiles == 1 or oh == 1 or bh * sh == bw * sw * t * tiles):
+            # The window merges into a (strided) row matrix without a copy, by
+            # numpy's reshape rule: a single tile of a strip, say. The GEMMs
+            # read it where it lies; a copy would change the BLAS call, and
+            # the bits.
+            rows = win.reshape(n, c1 - c0, oh * tiles, kh * span)
+            yield c0, c1, rows.transpose(1, 0, 2, 3)
+            continue
+        if buf is None:
+            buf = (np.empty if full == tiles else np.zeros)((cb, n, oh, tiles, kh, span), x.dtype)
+        rows = buf[: c1 - c0]
+        rows[:, :, :, :full] = win.transpose(1, 0, 2, 3, 4, 5)
+        if full < tiles:
+            edge = as_strided(xp[..., last:], (n, c1 - c0, oh, kh, wp - last),
+                              (bn, bc, bh * sh, bh, bw), writeable=False)
+            rows[:, :, :, full, :, : wp - last] = edge.transpose(1, 0, 2, 3, 4)
+        yield c0, c1, rows.reshape(c1 - c0, n, oh * tiles, kh * span)
+
+
+def _banded_depthwise(x: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
+                      pad: tuple[int, int], oh: int, ow: int) -> np.ndarray:
+    """Depthwise cross-correlation of ``x`` (N, C, H, W), zero padded by
+    ``pad``, with one kernel per channel, ``wk`` (C, kh, kw), as batched GEMMs.
 
     The output width is cut into tiles of ``t`` columns. A tile's outputs read
     ``span`` input columns from each of ``kh`` rows, and every tile shares one
     banded (Toeplitz) matrix per channel, band[c, u, sw*j + v, j] = wk[c, u, v],
-    so (rows of kh*span inputs) @ (kh*span, t) band gives the tile. Kernels
-    taller than wide run on the transposed input, so the band lies along the
-    long axis.
-
-    Unless the input already is that row matrix, the rows are copied one
-    block of channels at a time into one reused buffer of about
-    ``_DW_BLOCK_BYTES``. A last tile that overruns the input reads only the
-    columns that exist; the rest of its rows stay zero.
+    so (rows of kh*span inputs) @ (kh*span, t) band gives the tile. The rows
+    come from ``_dw_rows``, one block of channels at a time.
     """
-    kh, kw = wk.shape[1:]
-    if kh > kw:
-        out = _banded_depthwise(xp.transpose(0, 1, 3, 2), wk.transpose(0, 2, 1),
-                                stride[::-1], ow, oh)
-        return out.transpose(0, 1, 3, 2)
-    n, c, _, wp = xp.shape
-    sh, sw = stride
-    t = min(ow, max(16, 2 * kw))
-    tiles = -(-ow // t)
-    span = sw * (t - 1) + kw
-    # Only the last tile can overrun the input: it starts at column `last`.
-    last = sw * t * (tiles - 1)
-    full = tiles if last + span <= wp else tiles - 1
-    bn, bc, bh, bw = xp.strides
-    win = as_strided(xp, (n, c, oh, full, kh, span),
-                     (bn, bc, bh * sh, bw * sw * t, bh, bw), writeable=False)
-    edge = as_strided(xp[..., last:], (n, c, oh, kh, wp - last),
-                      (bn, bc, bh * sh, bh, bw), writeable=False)
-    band = np.zeros((c, kh, span, t), dtype=wk.dtype)
-    j = np.arange(t)
-    band[:, :, sw * j + np.arange(kw)[:, None], j] = wk[..., None]
-    band = band.reshape(c, kh * span, t)
-    if full == tiles and (kh == 1 or bh == bw * span) and (
-            tiles == 1 or oh == 1 or bh * sh == bw * sw * t * tiles):
-        # The window merges into a (strided) row matrix without a copy, by
-        # numpy's reshape rule: a single tile of a strip, say. The GEMM reads
-        # it where it lies; a copy would change the BLAS call, and the bits.
-        rows = win.reshape(n, c, oh * tiles, kh * span)
-        return np.matmul(rows, band).reshape(n, c, oh, tiles * t)[..., :ow]
+    tl = _tiling(wk.shape[1:], stride, oh, ow)
+    if tl.flip:
+        wk = wk.transpose(0, 2, 1)
+    n, c = x.shape[:2]
+    out = np.empty((n, c, tl.oh * tl.tiles, tl.t), dtype=x.dtype)
+    band = None
+    for c0, c1, rows in _dw_rows(x, pad, tl):
+        if band is None:  # the first block is the largest; off the band stays 0
+            band = np.zeros((c1 - c0, tl.kh, tl.span, tl.t), dtype=wk.dtype)
+        b = band[: c1 - c0]
+        b[tl.band_index()] = wk[c0:c1, ..., None]
+        np.matmul(rows, b.reshape(c1 - c0, 1, -1, tl.t),
+                  out=out[:, c0:c1].transpose(1, 0, 2, 3))
+    out = out.reshape(n, c, tl.oh, tl.tiles * tl.t)[..., : tl.ow]
+    return out.transpose(0, 1, 3, 2) if tl.flip else out
 
-    cb = min(c, max(1, _DW_BLOCK_BYTES // max(1, n * oh * tiles * kh * span * xp.itemsize)))
-    buf = (np.empty if full == tiles else np.zeros)((n, cb, oh, tiles, kh, span), xp.dtype)
-    out = np.empty((n, c, oh * tiles, t), dtype=xp.dtype)
-    for c0 in range(0, c, cb):
-        c1 = min(c0 + cb, c)
-        rows = buf[:, : c1 - c0]
-        rows[:, :, :, :full] = win[:, c0:c1]
-        if full < tiles:
-            rows[:, :, :, full, :, : wp - last] = edge[:, c0:c1]
-        np.matmul(rows.reshape(n, c1 - c0, oh * tiles, kh * span), band[c0:c1],
-                  out=out[:, c0:c1])
-    return out.reshape(n, c, oh, tiles * t)[..., :ow]
+
+def _depthwise_dw(x: np.ndarray, grad: np.ndarray, kernel: tuple[int, int],
+                  stride: tuple[int, int], pad: tuple[int, int]) -> np.ndarray:
+    """Weight gradient (C, kh, kw) of ``_banded_depthwise`` from the same
+    rows: per channel, (kh*span, rows) @ (rows, t) output-gradient tiles,
+    and each tap is the sum of its band diagonal. Every channel runs the same
+    GEMM, so its bits do not depend on the block it falls in."""
+    n, c, oh, ow = grad.shape
+    tl = _tiling(kernel, stride, oh, ow)
+    if tl.flip:
+        grad = grad.transpose(0, 1, 3, 2)
+    dw = np.empty((c, tl.kh, tl.kw), dtype=grad.dtype)
+    for c0, c1, rows in _dw_rows(x, pad, tl):
+        gt = np.zeros((c1 - c0, n, tl.oh, tl.tiles * tl.t), grad.dtype)
+        gt[..., : tl.ow] = grad[:, c0:c1].transpose(1, 0, 2, 3)
+        # Uncopied rows are laid out as the block allows; a C-ordered copy
+        # gives every channel the same layout.
+        rows = np.ascontiguousarray(rows).reshape(c1 - c0, -1, rows.shape[3])
+        m = np.matmul(rows.transpose(0, 2, 1), gt.reshape(c1 - c0, -1, tl.t))
+        # Fancy indexing lays its result out by the index shape; sum each
+        # diagonal from a C-ordered copy, so the order does not depend on c1-c0.
+        diag = m.reshape(c1 - c0, tl.kh, tl.span, tl.t)[tl.band_index()]
+        dw[c0:c1] = np.ascontiguousarray(diag).sum(axis=-1)
+    return dw.transpose(0, 2, 1) if tl.flip else dw
 
 
 def _group_cols(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
@@ -195,22 +274,28 @@ def _group_cols(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     )
 
 
-def _conv_forward(xp: np.ndarray, w: np.ndarray, spec: ConvSpec,
+def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """``x`` zero padded by ``ph`` rows and ``pw`` columns on each side."""
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec,
                   oh: int, ow: int) -> np.ndarray:
-    n = xp.shape[0]
+    n = x.shape[0]
     o = spec.out_channels
     g = spec.groups
     if _is_pointwise(spec):
         # One GEMM over channels.
         c = spec.in_channels
-        out = np.matmul(w.reshape(o, c), xp.reshape(n, c, oh * ow))
+        out = np.matmul(w.reshape(o, c), _padded(x, *spec.padding).reshape(n, c, oh * ow))
         return out.reshape(n, o, oh, ow)
     if _is_depthwise(spec):
-        return _banded_depthwise(xp, w[:, 0], spec.stride, oh, ow)
+        return _banded_depthwise(x, w[:, 0], spec.stride, spec.padding, oh, ow)
     # Batched GEMM per group: (g, n*oh*ow, cg*kh*kw) @ (g, cg*kh*kw, og).
     og = o // g
     wg = w.reshape(g, og, -1).transpose(0, 2, 1)
-    out = np.matmul(_group_cols(xp, spec, oh, ow), wg)  # (g, n*oh*ow, og)
+    cols = _group_cols(_padded(x, *spec.padding), spec, oh, ow)
+    out = np.matmul(cols, wg)  # (g, n*oh*ow, og)
     return (
         out.reshape(g, n, oh, ow, og).transpose(1, 0, 4, 2, 3).reshape(n, o, oh, ow)
     )
@@ -236,8 +321,7 @@ def _frame_slices(offset: int, step: int, count: int, size: int) -> tuple[slice,
     return slice(offset + step * i0, offset + step * i1, step), slice(i0, i1)
 
 
-def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSpec,
-                   pad: tuple[int, int], in_hw: tuple[int, int],
+def _conv_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec,
                    need_x: bool):
     n, o, oh, ow = grad.shape
     g = spec.groups
@@ -245,12 +329,13 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
     sh, sw = spec.stride
     cg = spec.in_channels // g
     og = o // g
-    ph, pw = pad
-    h, w_ = in_hw
+    ph, pw = spec.padding  # type: ignore[misc]
+    h, w_ = x.shape[2:]
+    # A padded input is rebuilt, not kept: the node already holds x.
 
     if _is_pointwise(spec):
         c = spec.in_channels
-        x2 = xp.reshape(n, c, oh * ow)
+        x2 = _padded(x, ph, pw).reshape(n, c, oh * ow)
         g2 = grad.reshape(n, o, oh * ow)
         dw = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         dx = None
@@ -260,14 +345,7 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
 
     if _is_depthwise(spec):
         wk = w[:, 0]  # (c, kh, kw)
-        # One contraction per kernel tap over the strided input slice the
-        # tap's weight multiplied in the forward.
-        dw = np.empty_like(wk)
-        for u in range(kh):
-            for v in range(kw):
-                tap = (..., slice(u, u + sh * oh, sh), slice(v, v + sw * ow, sw))
-                dw[:, u, v] = np.einsum("nchw,nchw->c", xp[tap], grad)
-        dw = dw.reshape(w.shape)
+        dw = _depthwise_dw(x, grad, spec.kernel, spec.stride, (ph, pw)).reshape(w.shape)
         dx = None
         if need_x:
             # dx is the stride-1 correlation of the flipped kernel with the
@@ -279,10 +357,11 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
             fc, gc = _frame_slices(kw - 1 - pw, sw, ow, fw)
             frame = np.zeros((n, o, fh, fw), dtype=grad.dtype)
             frame[:, :, fr, fc] = grad[:, :, gr, gc]
-            dx = _banded_depthwise(frame, wk[:, ::-1, ::-1], (1, 1), h, w_)
+            dx = _banded_depthwise(frame, wk[:, ::-1, ::-1], (1, 1), (0, 0), h, w_)
         return dx, dw
 
     # General grouped path, on the forward's column layout.
+    xp = _padded(x, ph, pw)
     go = grad.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2).reshape(g, n * oh * ow, og)
     cols = _group_cols(xp, spec, oh, ow)
     dwg = np.matmul(cols.transpose(0, 2, 1), go)  # (g, cg*kh*kw, og)
@@ -299,11 +378,6 @@ def _conv_backward(grad: np.ndarray, xp: np.ndarray, w: np.ndarray, spec: ConvSp
         dxp = _scatter_cols(dcols, xp.shape, spec, oh, ow)
         dx = dxp[:, :, ph : ph + h, pw : pw + w_]
     return dx, dw
-
-
-def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """``x`` zero padded by ``ph`` rows and ``pw`` columns on each side."""
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
@@ -330,8 +404,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
         raise ShapeError("spec declares no bias but one was given")
 
     oh, ow = spec.out_size(h, w)
-    ph, pw = spec.padding  # type: ignore[misc]
-    out_data = _conv_forward(_padded(x.data, ph, pw), weight.data, spec, oh, ow)
+    out_data = _conv_forward(x.data, weight.data, spec, oh, ow)
     if bias is not None:
         out_data += bias.data  # every conv path returns a fresh array
     out = Tensor(out_data)
@@ -340,9 +413,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     need_x = grad_relevant(x)  # skip input adjoints for graph leaves (e.g. images)
 
     def bwd(g: np.ndarray):
-        # The padded input is rebuilt, not kept: the node already holds x.
-        xp = _padded(x.data, ph, pw)
-        dx, dw = _conv_backward(g, xp, weight.data, spec, (ph, pw), (h, w), need_x)
+        dx, dw = _conv_backward(g, x.data, weight.data, spec, need_x)
         if bias is not None:
             db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
             return dx, dw, db

@@ -43,6 +43,28 @@ def conv2d_loops(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     return out
 
 
+def depthwise_dw_loops(x: np.ndarray, grad: np.ndarray, kernel: tuple[int, int],
+                       stride: tuple[int, int], padding: tuple[int, int]) -> np.ndarray:
+    """Depthwise weight gradient (C, 1, kh, kw), one channel and kernel tap at
+    a time: tap (ky, kx) sums padded-x[n, c, oy*sh + ky, ox*sw + kx] times
+    grad[n, c, oy, ox] over every n, oy and ox. float64."""
+    n, c, h, wdt = x.shape
+    _, _, oh, ow = grad.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.zeros((n, c, h + 2 * ph, wdt + 2 * pw), dtype=np.float64)
+    xp[:, :, ph:ph + h, pw:pw + wdt] = x
+    oy = np.arange(oh)[:, None] * sh
+    ox = np.arange(ow)[None, :] * sw
+    dw = np.zeros((c, 1, kh, kw), dtype=np.float64)
+    for ci in range(c):
+        for ky in range(kh):
+            for kx in range(kw):
+                dw[ci, 0, ky, kx] = np.sum(xp[:, ci, oy + ky, ox + kx] * grad[:, ci])
+    return dw
+
+
 def batchnorm_loops(x, gamma, beta, eps):
     """Per-channel training-mode normalization, biased variance."""
     n, c, h, w = x.shape

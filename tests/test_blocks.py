@@ -1,6 +1,7 @@
 """Attention unit and residual block: shape contracts, hand-composed
 references, parameter counts, and residual gating."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ class TestBlock:
         x = Tensor(rng.normal(size=(1, 8, 8, 8)).astype(np.float32))
         out = large_kernel_block_forward(x, p)
         assert out.shape == (1, 8, 8, 8)
+
+
+    def test_inference_ffn_holds_at_most_two_hidden_tensors(self):
+        # Expansion 8 makes 256x128x128 hidden tensors. Without a tape the
+        # expansion's output is freed once the 3x3 depthwise conv returns,
+        # so GELU sees only its input and its output: 2 hidden tensors, plus
+        # the block's small buffers. Keeping the expansion alive makes 3.
+        rng = np.random.default_rng(0)
+        p = make_block(rng, 32, 8)
+        x = Tensor(rng.normal(size=(1, 32, 128, 128)).astype(np.float32))
+        hidden = 256 * 128 * 128 * 4
+        tracemalloc.start()
+        try:
+            block_forward(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * hidden
 
 
 class TestDropPath:

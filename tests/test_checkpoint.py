@@ -2,10 +2,13 @@
 size arithmetic."""
 import os
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segnext.analysis import count_params
 from segnext.checkpoint import (MAGIC, VERSION, CheckpointError,
@@ -200,6 +203,21 @@ class TestIntegrity:
             load_checkpoint(path)
         assert isinstance(info.value.__cause__, ConfigError)
 
+    def test_config_of_an_unbuildable_model_under_valid_crc_rejected(self, model, tmp_path):
+        # 10**15 channels cannot be allocated anywhere, so building the model
+        # that the config text describes raises MemoryError.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[20:24])
+        cfg = raw[24:24 + cfg_len].replace(b"channels = 8,16,32,64",
+                                           b"channels = 8,16,32,1000000000000000")
+        assert len(cfg) > cfg_len
+        body = raw[:20] + struct.pack("<I", len(cfg)) + cfg + raw[24 + cfg_len:-4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(CheckpointError, match="too large to build"):
+            load_checkpoint(path)
+
     def test_magic_bytes_lead_the_file(self, model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
@@ -233,3 +251,57 @@ class TestSize:
             save_checkpoint(model, path)
         assert path.read_bytes() == b"old checkpoint"
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    """A micro checkpoint with optimizer state, as bytes."""
+    model = build_model(MICRO, seed=17)
+    path = tmp_path_factory.mktemp("valid") / "m.ckpt"
+    save_checkpoint(model, path, stepped_optimizer(model, steps=1))
+    return path.read_bytes()
+
+
+@st.composite
+def mutated_checkpoint(draw, valid: bytes) -> bytes:
+    """``valid`` with a few bytes replaced, inserted or deleted, mostly in the
+    header, the config text and the first table entries, where the reader
+    branches, and some truncated. Most get a recomputed CRC, so that the
+    reader goes past its checksum."""
+    buf = bytearray(valid)
+    (cfg_len,) = struct.unpack("<I", valid[20:24])
+    head = 24 + cfg_len + 64
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = draw(st.sampled_from([(4, head), (0, len(buf)), (len(buf) - 64, len(buf))]))
+        pos = draw(st.integers(max(0, lo), max(0, min(hi, len(buf)) - 1)))
+        byte = draw(st.sampled_from([0, 1, 2, 4, 10, 32, 44, 48, 49, 57, 61, 91, 93, 255])
+                    | st.integers(0, 255))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert" or not buf:
+            buf.insert(pos, byte)
+        elif op == "replace":
+            buf[pos] = byte
+        else:
+            del buf[pos]
+    if draw(st.integers(0, 3)) == 0:
+        buf = buf[:draw(st.integers(0, len(buf)))]
+    if len(buf) >= 8 and draw(st.integers(0, 3)):
+        buf[-4:] = struct.pack("<I", zlib.crc32(bytes(buf[:-4])) & 0xFFFFFFFF)
+    return bytes(buf)
+
+
+class TestFuzzedReader:
+    """Mutated and truncated checkpoints either load or raise
+    ``CheckpointError``; nothing else escapes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_load_checkpoint_raises_only_its_error(self, valid_checkpoint,
+                                                  tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+        path.write_bytes(data.draw(mutated_checkpoint(valid_checkpoint)))
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert isinstance(loaded.run_cfg, RunConfig)

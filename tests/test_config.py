@@ -258,3 +258,41 @@ class TestKeysFromFields:
 
         with pytest.raises(TypeError, match="Toy.pair"):
             config._scalar_keys(Toy)
+
+
+# Characters the parser branches on, plus a few it should reject cleanly.
+_FUZZ_CHARS = "[]=#,.-+_e0159 \t\n\r\x00\x85 xéZ"
+
+
+@st.composite
+def mutated_text(draw, valid: str) -> str:
+    """``valid`` with a few characters replaced, inserted or deleted, and
+    some truncated."""
+    chars = list(valid)
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, max(0, len(chars) - 1)))
+        ch = draw(st.sampled_from(_FUZZ_CHARS) | st.characters())
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert" or not chars:
+            chars.insert(pos, ch)
+        elif op == "replace":
+            chars[pos] = ch
+        else:
+            del chars[pos]
+    if draw(st.integers(0, 3)) == 0:
+        chars = chars[:draw(st.integers(0, len(chars)))]
+    return "".join(chars)
+
+
+class TestFuzzedText:
+    """Mutated and truncated config text either parses or raises
+    ``ConfigError``; nothing else escapes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=mutated_text(serialize_config(RunConfig(model=preset("mscan-micro")))))
+    def test_parse_config_raises_only_its_error(self, text):
+        try:
+            rc = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(rc, RunConfig)

@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segnext import ops
 from segnext.tensor import GradTape, ShapeError, Tensor, backward
 
-from oracles import conv2d_loops, fd_gradient, rel_err
+from oracles import conv2d_loops, depthwise_dw_loops, fd_gradient, rel_err
 
 
 def run_conv(x, w, b, spec):
@@ -207,9 +209,11 @@ class TestDepthwiseChannelBlocks:
         assert calls == [1, 1, 1]
 
     def test_float32_3x3_allocates_far_less_than_its_row_matrix(self):
-        # 64ch@64x64: the padded input and the output are needed either way.
-        # The full row matrix (3 rows of 18 columns per 16-column tile, 3.4x
-        # the input) is not: one reused block buffer stands in for it.
+        # 64ch@64x64: only the output is needed whole. Neither the padded
+        # input nor the full row matrix (3 rows of 18 columns per 16-column
+        # tile, 3.4x the input) is: each block of channels is padded into one
+        # reused buffer and its rows copied into another of at most
+        # _DW_BLOCK_BYTES, and the block's band is the only other buffer.
         rng = np.random.default_rng(0)
         spec = ops.ConvSpec(64, 64, (3, 3), groups=64)
         x = Tensor(rng.normal(size=(1, 64, 64, 64)).astype(np.float32))
@@ -217,13 +221,14 @@ class TestDepthwiseChannelBlocks:
         b = Tensor(np.zeros((1, 64, 1, 1), np.float32))
         tracemalloc.start()
         try:
-            ops.conv2d(x, w, b, spec)
+            out = ops.conv2d(x, w, b, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        padded_and_out = x.data.nbytes * (66 * 66 / (64 * 64) + 1)
-        rows = x.data.nbytes * 3 * 18 / 16
-        assert peak - padded_and_out < rows / 2
+        block = ops._DW_BLOCK_BYTES // (64 * 4 * 3 * 18 * 4)  # channels per block
+        padded_block = block * 66 * 66 * 4
+        band = block * 3 * 18 * 16 * 4
+        assert peak < out.data.nbytes + ops._DW_BLOCK_BYTES + padded_block + band
 
     def test_float32_3x3_under_a_tape_keeps_no_padded_copy(self):
         # The backward re-pads x, so the node holds just x and the output.
@@ -242,6 +247,42 @@ class TestDepthwiseChannelBlocks:
         assert len(tape) == 1
         # x was allocated before tracing started.
         assert x.data.nbytes + held < 1.1 * (x.data.nbytes + out.data.nbytes)
+
+
+@st.composite
+def depthwise_cases(draw):
+    """A depthwise conv: kernels up to 21 either way, strides 1-3, padding up
+    to kernel + 1, and input sizes that leave ragged last tiles."""
+    kh, kw = draw(st.integers(1, 21)), draw(st.integers(1, 21))
+    sh, sw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ph, pw = draw(st.integers(0, kh + 1)), draw(st.integers(0, kw + 1))
+    h = draw(st.integers(max(1, kh - 2 * ph), max(1, kh - 2 * ph) + 12))
+    w = draw(st.integers(max(1, kw - 2 * pw), max(1, kw - 2 * pw) + 60))
+    c, n = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    budget = draw(st.sampled_from([ops._DW_BLOCK_BYTES, 1]))  # one or c blocks
+    return ops.ConvSpec(c, c, (kh, kw), (sh, sw), (ph, pw), groups=c, bias=False), n, h, w, budget
+
+
+class TestDepthwiseWeightGradient:
+    """``dw`` comes from the forward's blocked rows; the tap loop is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=depthwise_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_tap_loop_oracle(self, case, seed):
+        spec, n, h, w, budget = case
+        c = spec.in_channels
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w))
+        g = rng.normal(size=(n, c, *spec.out_size(h, w)))
+        wt = Tensor(rng.normal(size=spec.weight_shape), requires_grad=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "_DW_BLOCK_BYTES", budget)
+            with GradTape() as tape:
+                out = ops.conv2d(Tensor(x), wt, None, spec)
+                loss = ops.sum_all(ops.mul(out, Tensor(g)))
+            dw = backward(tape, loss).of(wt)
+        want = depthwise_dw_loops(x, g, spec.kernel, spec.stride, spec.padding)
+        assert rel_err(dw, want) <= 1e-12
 
 
 class TestConvValidation:
