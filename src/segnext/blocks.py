@@ -20,7 +20,7 @@ with learnable per-channel layer scales ls1/ls2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,10 +28,16 @@ import numpy as np
 from . import ops
 from .initializers import fan_out_normal, trunc_normal
 from .ops import ConvSpec
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, recording
 
 LAYER_SCALE_INIT = 1e-2
 STRIP_KERNELS = (7, 11, 21)
+
+# Bytes of one block of FFN hidden channels at inference. A block's
+# expansion, depthwise and GELU outputs are the FFN's only hidden-width
+# arrays, so no hidden-size tensor (16.8 MB in segnext-t's first stage at
+# 512x512) is ever made.
+_FFN_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -189,13 +195,48 @@ def _attention_sub_block(x: Tensor, p: BlockParams) -> Tensor:
     return conv(y, p.attn_out)
 
 
+def _ffn_layers(p: BlockParams, c0: int, c1: int) -> tuple[ConvLayer, ConvLayer, ConvLayer]:
+    """The FFN's layers restricted to hidden channels ``c0:c1``; the
+    projection leaves out its bias, which the sum of the blocks adds once."""
+    def hidden_rows(layer: ConvLayer, **spec) -> ConvLayer:
+        return ConvLayer(replace(layer.spec, **spec), Tensor(layer.weight.data[c0:c1]),
+                         Tensor(layer.bias.data[:, c0:c1]))
+
+    cb = c1 - c0
+    project = p.ffn_project
+    return (
+        hidden_rows(p.ffn_expand, out_channels=cb),
+        hidden_rows(p.ffn_dw, out_channels=cb, in_channels=cb, groups=cb),
+        ConvLayer(replace(project.spec, in_channels=cb, bias=False),
+                  Tensor(project.weight.data[:, c0:c1]), None),
+    )
+
+
 def _ffn_sub_block(x: Tensor, p: BlockParams) -> Tensor:
-    # Each step rebinds y, so without a tape the expansion's output is freed
-    # before GELU runs: at most two hidden-size tensors are live at once.
-    y = conv(x, p.ffn_expand)
-    y = conv(y, p.ffn_dw)
-    y = ops.gelu(y)
-    return conv(y, p.ffn_project)
+    # Without a tape the hidden channels run one block of about
+    # _FFN_BLOCK_BYTES at a time, each block's projection summed into one
+    # output, so no hidden-size tensor exists. A tape, or a hidden tensor
+    # that fits in one block (an empty batch, say), runs the layers whole.
+    hidden = p.ffn_dw.spec.out_channels
+    n, _, h, w = x.shape
+    step = hidden
+    if not recording():
+        step = min(hidden, max(1, _FFN_BLOCK_BYTES // max(1, n * h * w * x.data.itemsize)))
+    out = None
+    for c0 in range(0, hidden, step):
+        expand, dw, project = ((p.ffn_expand, p.ffn_dw, p.ffn_project) if step == hidden
+                               else _ffn_layers(p, c0, min(c0 + step, hidden)))
+        y = conv(x, expand)
+        y = conv(y, dw)
+        y = ops.gelu(y)
+        y = conv(y, project)
+        if out is None:
+            out = y
+        else:
+            out.data += y.data
+    if step < hidden:
+        out.data += p.ffn_project.bias.data
+    return out
 
 
 def block_forward(x: Tensor, p: BlockParams, training: bool = False,

@@ -2,13 +2,15 @@
 arithmetic on named rows, row naming, and scaling behavior."""
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from segnext import blocks, ops
 from segnext.analysis import CONVENTION, cost_report, count_flops, count_params
 from segnext.decoder import build_decoder
 from segnext.encoder import StageConfig, build_encoder, preset
 from segnext.model import SegModel, build_model
-from segnext.tensor import GradTape
+from segnext.tensor import CostSink, GradTape, Tensor
 
 MICRO = preset("mscan-micro")
 
@@ -204,6 +206,57 @@ class TestReport:
         assert f"{rep.total_params:,}" in text
         assert rep.convention == CONVENTION
         assert CONVENTION in text
+
+
+def conv_flops(args, out):
+    spec = args[3]
+    _, o, oh, ow = out.shape
+    return o * oh * ow * (spec.in_channels // spec.groups) * spec.kernel[0] * spec.kernel[1]
+
+
+def gelu_flops(args, out):
+    _, c, h, w = out.shape
+    return c * h * w
+
+
+def per_image_flops(monkeypatch, name, flops):
+    """Wrap ``ops.<name>``; the returned list gets each call's FLOPs for
+    one image, from the shapes."""
+    seen = []
+    fn = getattr(ops, name)
+
+    def counted(*args):
+        out = fn(*args)
+        seen.append(flops(args, out))
+        return out
+
+    monkeypatch.setattr(ops, name, counted)
+    return seen
+
+
+class TestRealForward:
+    """A real eval forward, which runs the FFNs one block of hidden channels
+    at a time, against ``count_flops``, whose empty batch runs them whole:
+    the in-repo twin of the benchmark's FLOP cross-check."""
+
+    def test_split_forward_costs_count_flops(self, monkeypatch):
+        seen = {"conv2d": per_image_flops(monkeypatch, "conv2d", conv_flops),
+                "gelu": per_image_flops(monkeypatch, "gelu", gelu_flops)}
+        m = micro_model()
+        want = count_flops(m, 64, 64)
+        whole = {name: (len(v), sum(v)) for name, v in seen.items()}
+        for v in seen.values():
+            v.clear()
+        # 5 of stage 1's 64 hidden channels per block at 2x16x16: every
+        # stage but the last splits, with a ragged last block.
+        monkeypatch.setattr(blocks, "_FFN_BLOCK_BYTES", 5 * 2 * 16 * 16 * 4)
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 64, 64)).astype(np.float32))
+        with CostSink({}) as sink:
+            m.forward(x)
+        assert sum(flops for _, flops in sink.rows.values()) == want
+        for name, (calls, flops) in whole.items():
+            assert len(seen[name]) > calls, name
+            assert sum(seen[name]) == flops, name
 
 
 class TestPresetScaling:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segnext import ops
+from segnext import blocks, ops
 from segnext.blocks import (LAYER_SCALE_INIT, STRIP_KERNELS, BlockParams,
                             block_forward, large_kernel_block_forward,
                             make_block, make_msca, msca_forward)
@@ -170,22 +170,92 @@ class TestBlock:
         assert out.shape == (1, 8, 8, 8)
 
 
-    def test_inference_ffn_holds_at_most_two_hidden_tensors(self):
-        # Expansion 8 makes 256x128x128 hidden tensors. Without a tape the
-        # expansion's output is freed once the 3x3 depthwise conv returns,
-        # so GELU sees only its input and its output: 2 hidden tensors, plus
-        # the block's small buffers. Keeping the expansion alive makes 3.
+    def test_inference_ffn_holds_no_hidden_size_tensor(self):
+        # Expansion 8 makes 256x128x128 hidden channels, 16.8 MB, at least 8
+        # blocks. Without a tape they run one block at a time, so no
+        # hidden-size tensor is ever made; the peak is the attention
+        # sub-block's. Run whole, the expansion's and the depthwise conv's
+        # outputs would both be live: 2 hidden tensors.
         rng = np.random.default_rng(0)
         p = make_block(rng, 32, 8)
         x = Tensor(rng.normal(size=(1, 32, 128, 128)).astype(np.float32))
         hidden = 256 * 128 * 128 * 4
+        assert hidden >= 8 * blocks._FFN_BLOCK_BYTES
         tracemalloc.start()
         try:
             block_forward(x, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.75 * hidden
+        assert peak < hidden
+
+
+def ffn_dw_widths(monkeypatch):
+    """Channel counts of the FFN's 3x3 depthwise calls, one per block."""
+    widths = []
+    conv2d = ops.conv2d
+
+    def counting(x, weight, bias, spec):
+        if spec.kernel == (3, 3):
+            widths.append(spec.in_channels)
+        return conv2d(x, weight, bias, spec)
+
+    monkeypatch.setattr(ops, "conv2d", counting)
+    return widths
+
+
+class TestFfnBlocks:
+    """Without a tape the FFN runs one block of hidden channels at a time.
+    8 channels with expansion 4 at 16x16 make 32 hidden channels of 1 KB."""
+
+    CHANNEL_BYTES = 16 * 16 * 4
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.p = make_block(rng, 8, expansion=4)
+        for layer in (self.p.ffn_expand, self.p.ffn_dw, self.p.ffn_project):
+            layer.bias.data[...] = rng.normal(size=layer.bias.shape)
+        self.p.layer_scale2.data[...] = 1.0  # the FFN's output is not damped
+        self.x = Tensor(rng.normal(size=(1, 8, 16, 16)).astype(np.float32))
+
+    def run(self, monkeypatch, channels):
+        monkeypatch.setattr(blocks, "_FFN_BLOCK_BYTES", channels * self.CHANNEL_BYTES)
+        return block_forward(self.x, self.p).data
+
+    def test_split_matches_whole_run(self, monkeypatch):
+        widths = ffn_dw_widths(monkeypatch)
+        whole = self.run(monkeypatch, 32)
+        split = self.run(monkeypatch, 12)
+        assert widths == [32, 12, 12, 8]  # three blocks, the last one ragged
+        np.testing.assert_allclose(split, whole, rtol=1e-5, atol=1e-6)
+
+    def test_one_block_is_the_taped_run_bitwise(self, monkeypatch):
+        # A tape never splits, and GELU has the same bits with or without
+        # one: one block makes the same calls on the layers themselves.
+        widths = ffn_dw_widths(monkeypatch)
+        one = self.run(monkeypatch, 32)
+        with GradTape():
+            taped = block_forward(self.x, self.p).data
+        assert widths == [32, 32]
+        np.testing.assert_array_equal(one, taped)
+
+    def taped(self, monkeypatch, channels):
+        monkeypatch.setattr(blocks, "_FFN_BLOCK_BYTES", channels * self.CHANNEL_BYTES)
+        with GradTape() as tape:
+            out = block_forward(self.x, self.p)
+            loss = ops.mean_all(ops.mul(out, out))
+        nodes = len(tape)
+        grads = backward(tape, loss)
+        return nodes, [grads.of(t) for t in collect_tensors(self.p)]
+
+    def test_tape_never_splits(self, monkeypatch):
+        widths = ffn_dw_widths(monkeypatch)
+        nodes_whole, grads_whole = self.taped(monkeypatch, 32)
+        nodes_tiny, grads_tiny = self.taped(monkeypatch, 1)
+        assert widths == [32, 32]
+        assert nodes_tiny == nodes_whole
+        for got, want in zip(grads_tiny, grads_whole):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDropPath:
