@@ -8,6 +8,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,13 +28,10 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def _pack_array(out: bytearray, name: str, arr: np.ndarray) -> None:
+def _array_parts(name: str, arr: np.ndarray) -> Iterator[bytes | np.ndarray]:
     nb = name.encode("utf-8")
-    out += struct.pack("<H", len(nb))
-    out += nb
-    out += struct.pack("<B", arr.ndim)
-    out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    yield struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape)
+    yield np.ascontiguousarray(arr, dtype="<f4")
 
 
 def _utf8(raw: memoryview, what: str) -> str:
@@ -70,33 +68,42 @@ class _Reader:
         return np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
 
 
+def _body_parts(model: SegModel, optim: OptimState | None,
+                run_cfg: RunConfig) -> Iterator[bytes | np.ndarray]:
+    """The checkpoint's bytes up to the CRC, as a sequence of buffers: the
+    tables are the arrays themselves, never copied into one file image."""
+    cfg_bytes = serialize_config(run_cfg).encode("utf-8")
+    flags = _FLAG_OPTIM if optim is not None else 0
+    yield MAGIC + struct.pack("<IIQI", VERSION, flags, model.seed, len(cfg_bytes)) + cfg_bytes
+    params, buffers = model.registry()
+    yield struct.pack("<I", len(params))
+    for e in params:
+        yield from _array_parts(e.name, e.tensor.data)
+    yield struct.pack("<I", len(buffers))
+    for b in buffers:
+        yield from _array_parts(b.name, b.array)
+    if optim is not None:
+        yield struct.pack("<Qddddd", optim.t, optim.betas[0], optim.betas[1],
+                          optim.eps, optim.weight_decay, 0.0)
+        for e in params:
+            yield np.ascontiguousarray(optim.m[e.name], dtype="<f4")
+            yield np.ascontiguousarray(optim.v[e.name], dtype="<f4")
+
+
+def _with_crc(parts: Iterator[bytes | np.ndarray]) -> Iterator[bytes | np.ndarray]:
+    """``parts``, then the CRC32 of their bytes, accumulated as they pass."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+        yield part
+    yield struct.pack("<I", crc)
+
+
 def save_checkpoint(model: SegModel, path, optim: OptimState | None = None,
                     run_cfg: RunConfig | None = None) -> None:
     if run_cfg is None:
         run_cfg = RunConfig(model=model.cfg, seed=model.seed)
-    out = bytearray()
-    out += MAGIC
-    flags = _FLAG_OPTIM if optim is not None else 0
-    out += struct.pack("<IIQ", VERSION, flags, model.seed)
-    cfg_bytes = serialize_config(run_cfg).encode("utf-8")
-    out += struct.pack("<I", len(cfg_bytes))
-    out += cfg_bytes
-    params, buffers = model.registry()
-    out += struct.pack("<I", len(params))
-    for e in params:
-        _pack_array(out, e.name, e.tensor.data)
-    out += struct.pack("<I", len(buffers))
-    for b in buffers:
-        _pack_array(out, b.name, b.array)
-    if optim is not None:
-        out += struct.pack("<Qddddd", optim.t, optim.betas[0], optim.betas[1],
-                           optim.eps, optim.weight_decay, 0.0)
-        for e in params:
-            out += np.ascontiguousarray(optim.m[e.name], dtype="<f4").tobytes()
-            out += np.ascontiguousarray(optim.v[e.name], dtype="<f4").tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-
-    atomic_write(path, out)
+    atomic_write(path, _with_crc(_body_parts(model, optim, run_cfg)))
 
 
 @dataclass

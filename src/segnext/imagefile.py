@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -25,17 +26,20 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def atomic_write(path, payload: bytes | bytearray) -> None:
-    """Write ``payload`` to ``path`` through a unique temp file in the same
-    directory and a rename, so ``path`` holds the old bytes or the new ones;
-    the temp file is removed if the write or the rename raises."""
+def atomic_write(path, parts: Iterable) -> None:
+    """Write the buffers of ``parts`` (bytes, or C-contiguous arrays), in
+    order, to ``path`` through a unique temp file in the same directory and
+    a rename, so ``path`` holds the old bytes or the new ones; the temp file
+    is removed if the write or the rename raises. ``parts`` may be a
+    generator: each buffer is written as it comes."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
                                dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -101,7 +105,7 @@ def write_ppm(path, image) -> None:
             f"cannot write shape {arr.shape} dtype {arr.dtype} as a color image"
         )
     h, w, _ = arr.shape
-    atomic_write(path, b"P6\n%d %d\n255\n" % (w, h) + arr.tobytes())
+    atomic_write(path, (b"P6\n%d %d\n255\n" % (w, h), np.ascontiguousarray(arr)))
 
 
 def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
@@ -137,7 +141,7 @@ def write_pgm(path, labels: np.ndarray) -> None:
     if arr.dtype != np.uint8:
         raise ImageFormatError(f"label map must be integer-typed, got {arr.dtype}")
     h, w = arr.shape
-    atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + arr.tobytes())
+    atomic_write(path, (b"P5\n%d %d\n255\n" % (w, h), np.ascontiguousarray(arr)))
 
 
 def read_pgm(path) -> np.ndarray:

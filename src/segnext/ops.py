@@ -97,22 +97,13 @@ class ConvSpec:
         return oh, ow
 
 
-def _patches(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-             oh: int, ow: int) -> np.ndarray:
-    """Zero-copy sliding-window view (N, C, oh, ow, kh, kw) of a padded input."""
-    n, c, _, _ = xp.shape
-    bn, bc, bh, bw = xp.strides
-    return as_strided(
-        xp, (n, c, oh, ow, kh, kw), (bn, bc, bh * sh, bw * sw, bh, bw), writeable=False
-    )
-
-
 def _is_depthwise(spec: ConvSpec) -> bool:
     return spec.groups == spec.in_channels == spec.out_channels
 
 
 def _is_pointwise(spec: ConvSpec) -> bool:
-    return spec.kernel == (1, 1) and spec.groups == 1 and spec.stride == (1, 1)
+    return (spec.kernel == (1, 1) and spec.groups == 1 and spec.stride == (1, 1)
+            and spec.padding == (0, 0))
 
 
 # Bytes of one channel block's row matrix in ``_dw_rows``, which depthwise
@@ -259,24 +250,40 @@ def _depthwise_dw(x: np.ndarray, grad: np.ndarray, kernel: tuple[int, int],
     return dw.transpose(0, 2, 1) if tl.flip else dw
 
 
-def _group_cols(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    """Im2col columns (g, n*oh*ow, cg*kh*kw) of a padded input, one matrix
-    per group; the forward and the backward share this layout."""
-    n = xp.shape[0]
-    g = spec.groups
-    cg = spec.in_channels // g
+def _tap_slices(offset: int, step: int, count: int, size: int) -> tuple[slice, slice]:
+    """Slices that pair items 0..count-1 of an output axis with positions
+    offset + step*i of an input axis of ``size``: (input, output), dropping
+    the items whose position falls outside, in the zero padding."""
+    i0 = max(0, -(offset // step))
+    i1 = max(i0, min(count, (size - 1 - offset) // step + 1))
+    return slice(offset + step * i0, offset + step * i1, step), slice(i0, i1)
+
+
+def _taps(spec: ConvSpec, h: int, w: int, oh: int, ow: int):
+    """Yield ``(u, v, x_index, out_index)`` per kernel tap: the (rows,
+    columns) of an (H, W) input that tap (u, v) reads, and of the (oh, ow)
+    output pixels that read them; pixels whose tap falls in the padding are
+    left out."""
+    (kh, kw), (sh, sw), (ph, pw) = spec.kernel, spec.stride, spec.padding
+    for u in range(kh):
+        xr, orow = _tap_slices(u - ph, sh, oh, h)
+        for v in range(kw):
+            xc, ocol = _tap_slices(v - pw, sw, ow, w)
+            yield u, v, (xr, xc), (orow, ocol)
+
+
+def _group_cols(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    """Im2col columns (g, cg*kh*kw, n*oh*ow) of ``x`` (N, C, H, W), one
+    matrix per group, channel first: row (c, u, v) holds what tap (u, v) of
+    channel c reads at every output pixel. Each tap is one strided slab copy
+    of the unpadded input; what falls in the padding stays zero."""
+    n, c, h, w = x.shape
     kh, kw = spec.kernel
-    pv = _patches(xp, kh, kw, *spec.stride, oh, ow)
-    return (
-        pv.reshape(n, g, cg, oh, ow, kh, kw)
-        .transpose(1, 0, 3, 4, 2, 5, 6)
-        .reshape(g, n * oh * ow, cg * kh * kw)
-    )
-
-
-def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """``x`` zero padded by ``ph`` rows and ``pw`` columns on each side."""
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    cols = np.zeros((c, kh, kw, n, oh, ow), x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for u, v, (xr, xc), (orow, ocol) in _taps(spec, h, w, oh, ow):
+        cols[:, u, v, :, orow, ocol] = xt[:, :, xr, xc]
+    return cols.reshape(spec.groups, c // spec.groups * kh * kw, n * oh * ow)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec,
@@ -287,55 +294,26 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec,
     if _is_pointwise(spec):
         # One GEMM over channels.
         c = spec.in_channels
-        out = np.matmul(w.reshape(o, c), _padded(x, *spec.padding).reshape(n, c, oh * ow))
+        out = np.matmul(w.reshape(o, c), x.reshape(n, c, oh * ow))
         return out.reshape(n, o, oh, ow)
     if _is_depthwise(spec):
         return _banded_depthwise(x, w[:, 0], spec.stride, spec.padding, oh, ow)
-    # Batched GEMM per group: (g, n*oh*ow, cg*kh*kw) @ (g, cg*kh*kw, og).
-    og = o // g
-    wg = w.reshape(g, og, -1).transpose(0, 2, 1)
-    cols = _group_cols(_padded(x, *spec.padding), spec, oh, ow)
-    out = np.matmul(cols, wg)  # (g, n*oh*ow, og)
-    return (
-        out.reshape(g, n, oh, ow, og).transpose(1, 0, 4, 2, 3).reshape(n, o, oh, ow)
-    )
-
-
-def _scatter_cols(dcols: np.ndarray, xp_shape: tuple[int, ...], spec: ConvSpec,
-                  oh: int, ow: int) -> np.ndarray:
-    """Accumulate (n, c, oh, ow, kh, kw) column gradients into padded-input space."""
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[..., u, v]
-    return dxp
-
-
-def _frame_slices(offset: int, step: int, count: int, size: int) -> tuple[slice, slice]:
-    """Destination and source slices that put items 0..count-1 at
-    offset + step*i of an axis of ``size``, dropping those that fall outside."""
-    i0 = max(0, -(offset // step))
-    i1 = max(i0, min(count, (size - 1 - offset) // step + 1))
-    return slice(offset + step * i0, offset + step * i1, step), slice(i0, i1)
+    # One GEMM per group: (g, og, cg*kh*kw) @ (g, cg*kh*kw, n*oh*ow).
+    out = np.matmul(w.reshape(g, o // g, -1), _group_cols(x, spec, oh, ow))
+    return np.ascontiguousarray(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
 
 
 def _conv_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec,
                    need_x: bool):
     n, o, oh, ow = grad.shape
+    c, h, w_ = x.shape[1:]
     g = spec.groups
     kh, kw = spec.kernel
     sh, sw = spec.stride
-    cg = spec.in_channels // g
-    og = o // g
     ph, pw = spec.padding  # type: ignore[misc]
-    h, w_ = x.shape[2:]
-    # A padded input is rebuilt, not kept: the node already holds x.
 
     if _is_pointwise(spec):
-        c = spec.in_channels
-        x2 = _padded(x, ph, pw).reshape(n, c, oh * ow)
+        x2 = x.reshape(n, c, oh * ow)
         g2 = grad.reshape(n, o, oh * ow)
         dw = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         dx = None
@@ -344,39 +322,42 @@ def _conv_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpe
         return dx, dw
 
     if _is_depthwise(spec):
-        wk = w[:, 0]  # (c, kh, kw)
+        wk = w[:, 0, ::-1, ::-1]  # (c, kh, kw), flipped
         dw = _depthwise_dw(x, grad, spec.kernel, spec.stride, (ph, pw)).reshape(w.shape)
         dx = None
-        if need_x:
-            # dx is the stride-1 correlation of the flipped kernel with the
-            # output gradient, dilated by the stride and placed so that
-            # grad[i, j] sits at (kh-1-ph + sh*i, kw-1-pw + sw*j) of a zero
-            # frame one kernel larger than the input.
+        if need_x and spec.stride == (1, 1) and ph < kh and pw < kw:
+            # dx is the correlation of the flipped kernel with the output
+            # gradient zero padded by (kh-1-ph, kw-1-pw), which the forward's
+            # rows pad one block of channels at a time.
+            dx = _banded_depthwise(grad, wk, (1, 1), (kh - 1 - ph, kw - 1 - pw), h, w_)
+        elif need_x:
+            # Strided, or padded by a kernel's size or more: the gradient is
+            # dilated by the stride and placed so that grad[i, j] sits at
+            # (kh-1-ph + sh*i, kw-1-pw + sw*j) of a zero frame one kernel
+            # larger than the input, rows and columns outside it dropped.
             fh, fw = h + kh - 1, w_ + kw - 1
-            fr, gr = _frame_slices(kh - 1 - ph, sh, oh, fh)
-            fc, gc = _frame_slices(kw - 1 - pw, sw, ow, fw)
+            fr, gr = _tap_slices(kh - 1 - ph, sh, oh, fh)
+            fc, gc = _tap_slices(kw - 1 - pw, sw, ow, fw)
             frame = np.zeros((n, o, fh, fw), dtype=grad.dtype)
             frame[:, :, fr, fc] = grad[:, :, gr, gc]
-            dx = _banded_depthwise(frame, wk[:, ::-1, ::-1], (1, 1), (0, 0), h, w_)
+            dx = _banded_depthwise(frame, wk, (1, 1), (0, 0), h, w_)
         return dx, dw
 
-    # General grouped path, on the forward's column layout.
-    xp = _padded(x, ph, pw)
-    go = grad.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2).reshape(g, n * oh * ow, og)
-    cols = _group_cols(xp, spec, oh, ow)
-    dwg = np.matmul(cols.transpose(0, 2, 1), go)  # (g, cg*kh*kw, og)
-    dw = dwg.reshape(g, cg, kh, kw, og).transpose(0, 4, 1, 2, 3).reshape(w.shape)
+    # Grouped and dense, on the forward's columns: grad as (g, og, n*oh*ow).
+    og = o // g
+    go = np.ascontiguousarray(grad.reshape(n, o, oh * ow).transpose(1, 0, 2))
+    go = go.reshape(g, og, n * oh * ow)
+    dw = np.matmul(go, _group_cols(x, spec, oh, ow).transpose(0, 2, 1)).reshape(w.shape)
     dx = None
     if need_x:
-        wg = w.reshape(g, og, cg * kh * kw)
-        dcols = np.matmul(go, wg)  # (g, n*oh*ow, cg*kh*kw)
-        dcols = (
-            dcols.reshape(g, n, oh, ow, cg, kh, kw)
-            .transpose(1, 0, 4, 2, 3, 5, 6)
-            .reshape(n, g * cg, oh, ow, kh, kw)
-        )
-        dxp = _scatter_cols(dcols, xp.shape, spec, oh, ow)
-        dx = dxp[:, :, ph : ph + h, pw : pw + w_]
+        # Column gradients (c, kh, kw, n, oh, ow), added into dx one tap at a
+        # time; what fell in the padding is dropped.
+        dcols = np.matmul(w.reshape(g, og, -1).transpose(0, 2, 1), go)
+        dcols = dcols.reshape(c, kh, kw, n, oh, ow)
+        dx = np.zeros((n, c, h, w_), dtype=grad.dtype)
+        dxt = dx.transpose(1, 0, 2, 3)
+        for u, v, (xr, xc), (orow, ocol) in _taps(spec, h, w_, oh, ow):
+            dxt[:, :, xr, xc] += dcols[:, u, v, :, orow, ocol]
     return dx, dw
 
 
@@ -822,11 +803,35 @@ def mean_all(x: Tensor) -> Tensor:
     return record(out, (x,), bwd)
 
 
+def _plane_reduce(z: np.ndarray, fn) -> np.ndarray:
+    """``fn`` folded over the class planes of ``z`` (N, K, H, W), in place
+    in one (N, H, W) array: plane 0, then 1, and so on."""
+    acc = z[:, 0].copy()
+    for c in range(1, z.shape[1]):
+        fn(acc, z[:, c], out=acc)
+    return acc
+
+
+def _label_index(labels: np.ndarray, k: int):
+    """Yield, image by image, the flat index into its (K, H, W) logits of
+    each pixel's labelled logit. An ignored pixel indexes a class in range,
+    whose term its mask then drops."""
+    hw = labels[0].size
+    pix = np.arange(hw)
+    for lab in labels.reshape(len(labels), hw):
+        idx = lab.astype(np.intp)
+        np.minimum(idx, k - 1, out=idx)
+        idx *= hw
+        idx += pix
+        yield idx
+
+
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean pixel cross-entropy with an ignore label, fused with softmax.
 
     ``labels`` is an integer (N, H, W) array; entries equal to
-    ``IGNORE_INDEX`` contribute neither loss nor gradient.
+    ``IGNORE_INDEX`` contribute neither loss nor gradient. The backward
+    reads ``labels`` again, so it must not change in between.
     """
     n, k, h, w = logits.shape
     if labels.shape != (n, h, w):
@@ -845,20 +850,30 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             f"label {int(labels[bad][0])} outside [0, {k}) and not the ignore index"
         )
 
+    # One logits-sized array: the shifted logits, exponentiated in place and
+    # kept, with their sums, for the backward. The max and the sums are
+    # in-place loops over the K class planes, in the order numpy reduces the
+    # class axis, so the loss keeps the bits of the whole-array formula.
     z = logits.data
-    zs = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(zs)
-    denom = ez.sum(axis=1, keepdims=True)
-    safe = np.where(valid, labels, 0).astype(np.int64)[:, None, :, :]
-    picked = np.take_along_axis(zs - np.log(denom), safe, axis=1)[:, 0]
-    loss_val = -(picked * valid).sum(dtype=z.dtype) / z.dtype.type(m)
+    ez = z - _plane_reduce(z, np.maximum)[:, None]
+    picked = np.empty((n, h, w), z.dtype)  # the labelled shifted logit
+    for i, idx in enumerate(_label_index(labels, k)):
+        np.take(ez[i].reshape(-1), idx, out=picked[i].reshape(-1))
+    np.exp(ez, out=ez)
+    denom = _plane_reduce(ez, np.add)
+    picked -= np.log(denom)
+    picked *= valid
+    loss_val = -picked.sum(dtype=z.dtype) / z.dtype.type(m)
     out = Tensor(np.asarray(loss_val, dtype=z.dtype).reshape(1, 1, 1, 1))
 
     def bwd(g: np.ndarray):
-        gs = g.reshape(())
-        dz = ez / denom
-        np.put_along_axis(dz, safe, np.take_along_axis(dz, safe, axis=1) - 1.0, axis=1)
-        dz *= valid[:, None, :, :]
-        return (dz * (gs / m),)
+        # Normalize, subtract the one-hot and scale in the saved array: the
+        # tape runs this once.
+        dz = np.divide(ez, denom[:, None], out=ez)
+        for i, idx in enumerate(_label_index(labels, k)):
+            dz[i].reshape(-1)[idx] -= 1.0
+        dz *= (labels != IGNORE_INDEX)[:, None]
+        dz *= g.reshape(()) / m
+        return (dz,)
 
     return record(out, (logits,), bwd)

@@ -121,6 +121,26 @@ def cross_entropy_loops(logits: np.ndarray, labels: np.ndarray,
     return total / count
 
 
+def cross_entropy_grad_loops(logits: np.ndarray, labels: np.ndarray,
+                             ignore_index: int = 255) -> np.ndarray:
+    """Gradient of ``cross_entropy_loops`` by scalar loops, float64: per
+    counted pixel, (softmax - one-hot) / count; ignored pixels get zero."""
+    n, k, h, w = logits.shape
+    grad = np.zeros(logits.shape, dtype=np.float64)
+    count = int((labels != ignore_index).sum())
+    for ni in range(n):
+        for y in range(h):
+            for x in range(w):
+                lab = int(labels[ni, y, x])
+                if lab == ignore_index:
+                    continue
+                z = logits[ni, :, y, x].astype(np.float64)
+                e = np.exp(z - z.max())
+                for c in range(k):
+                    grad[ni, c, y, x] = (e[c] / e.sum() - (c == lab)) / count
+    return grad
+
+
 def confusion_loops(preds, gts, num_classes: int, ignore_index: int = 255):
     """Per-pixel confusion matrix accumulation, rows = ground truth."""
     mat = np.zeros((num_classes, num_classes), dtype=np.int64)

@@ -2,6 +2,7 @@
 size arithmetic."""
 import os
 import struct
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -231,6 +232,20 @@ class TestSize:
         payload = count_params(model) * 4
         # header + names + buffers + config snapshot ride on top
         assert payload < path.stat().st_size < payload * 1.05
+
+    def test_save_streams_the_tables(self, tmp_path):
+        # The file is written table by table, the CRC accumulated over the
+        # parts: no image of the whole file is built in memory.
+        big = build_model(preset("segnext-t"), seed=1)
+        sizes = [e.tensor.data.nbytes for e in big.parameters()]
+        assert sum(sizes) >= 8 * 2**20
+        tracemalloc.start()
+        try:
+            save_checkpoint(big, tmp_path / "t.ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 + max(sizes)
 
     def test_atomic_write_leaves_no_temp_files(self, model, tmp_path):
         path = tmp_path / "m.ckpt"

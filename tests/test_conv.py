@@ -248,6 +248,24 @@ class TestDepthwiseChannelBlocks:
         # x was allocated before tracing started.
         assert x.data.nbytes + held < 1.1 * (x.data.nbytes + out.data.nbytes)
 
+    def test_float32_3x3_backward_holds_no_whole_size_frame(self):
+        # At stride 1, dx is the flipped kernel run on the output gradient,
+        # which the rows pad one block of channels at a time: besides dx,
+        # only block-sized buffers. A zero frame one kernel larger than the
+        # input (8x64@34x34, 2.4 MB) is more than two blocks.
+        rng = np.random.default_rng(0)
+        spec = ops.ConvSpec(64, 64, (3, 3), groups=64)
+        x = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
+        w = rng.normal(size=spec.weight_shape).astype(np.float32)
+        g = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            dx, _ = ops._conv_backward(g, x, w, spec, need_x=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dx.nbytes + 2 * ops._DW_BLOCK_BYTES
+
 
 @st.composite
 def depthwise_cases(draw):
@@ -322,3 +340,59 @@ class TestConvValidation:
         spec_f = ops.ConvSpec(c, c, (k, k), groups=c, bias=False)
         want = ops.conv2d(Tensor(x), Tensor(full), None, spec_f).data
         assert rel_err(got, want) <= 1e-10
+
+
+@st.composite
+def grouped_cases(draw):
+    """A grouped or dense conv: groups 1-4, rectangular kernels up to 5x3
+    either way, strides 1-3, padding 0 to the kernel size, batch 1-3."""
+    g, cg, og = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        kh, kw = kw, kh
+    sh, sw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ph, pw = draw(st.integers(0, kh)), draw(st.integers(0, kw))
+    h = draw(st.integers(max(1, kh - 2 * ph), max(1, kh - 2 * ph) + 5))
+    w = draw(st.integers(max(1, kw - 2 * pw), max(1, kw - 2 * pw) + 5))
+    n = draw(st.integers(1, 3))
+    spec = ops.ConvSpec(g * og, g * cg, (kh, kw), (sh, sw), (ph, pw), groups=g)
+    return spec, n, h, w
+
+
+class TestGroupedConvColumns:
+    """Grouped and dense convs run on channel-first columns, one GEMM per
+    group; the forward is checked against the loop oracle, ``dx`` and ``dw``
+    against finite differences of a float64 forward."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grouped_cases(), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracle_and_finite_differences(self, case, dtype, seed):
+        spec, n, h, w = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, spec.in_channels, h, w))
+        wt = rng.normal(size=spec.weight_shape)
+        b = rng.normal(size=(1, spec.out_channels, 1, 1))
+        g = rng.normal(size=(n, spec.out_channels, *spec.out_size(h, w)))
+        xt, wtt, bt = (Tensor(a.astype(dtype), requires_grad=True) for a in (x, wt, b))
+        with GradTape() as tape:
+            out = ops.conv2d(xt, wtt, bt, spec)
+            loss = ops.sum_all(ops.mul(out, Tensor(g.astype(dtype))))
+        grads = backward(tape, loss)
+
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        want = conv2d_loops(x, wt, b, spec.stride, spec.padding, spec.groups)
+        assert out.data.dtype == dtype and rel_err(out.data, want) <= tol
+
+        def loss_of(which):
+            def f(arr):
+                y = ops.conv2d(Tensor(arr if which == "x" else x),
+                               Tensor(arr if which == "w" else wt), Tensor(b), spec).data
+                return float((y * g).sum())
+            return f
+
+        tol = 1e-8 if dtype == np.float64 else 1e-5
+        for t, which, a in ((xt, "x", x), (wtt, "w", wt)):
+            got = grads.of(t)
+            assert got.dtype == dtype
+            assert rel_err(got, fd_gradient(loss_of(which), a.copy())) < tol

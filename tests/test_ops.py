@@ -11,7 +11,8 @@ from segnext import ops
 from segnext.blocks import BatchNorm
 from segnext.tensor import GradTape, ShapeError, Tensor, backward
 
-from oracles import (batchnorm_loops, bilinear_loops, cross_entropy_loops,
+from oracles import (batchnorm_loops, bilinear_loops, cross_entropy_grad_loops,
+                     cross_entropy_loops,
                      fd_gradient, rel_err)
 
 
@@ -518,3 +519,50 @@ class TestCrossEntropy:
                 loss = ops.softmax_cross_entropy(lt, labels)
             g = backward(tape, loss).of(lt)
             np.testing.assert_allclose(g[0, 1, 0, 0], 0.5 * factor, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 19, 150])
+    def test_loss_and_gradient_match_loop_oracles(self, k):
+        rng = np.random.default_rng(k)
+        logits = rng.normal(size=(2, k, 3, 4)) * 3
+        labels = rng.integers(0, k, (2, 3, 4))
+        labels[0, 1, :3] = 255
+        labels[1, 2, 3] = 255
+        lt = Tensor(logits, requires_grad=True)
+        with GradTape() as tape:
+            loss = ops.softmax_cross_entropy(lt, labels)
+        g = backward(tape, loss).of(lt)
+        assert rel_err(loss.item(), cross_entropy_loops(logits, labels)) <= 1e-12
+        assert rel_err(g, cross_entropy_grad_loops(logits, labels)) <= 1e-12
+
+    def test_float32_loss_bitwise_equal_to_the_whole_array_formula(self):
+        # The class-plane loops reduce in the order numpy reduces the class
+        # axis, so the loss keeps the bits of this formula.
+        rng = np.random.default_rng(23)
+        z = (rng.normal(size=(8, 3, 128, 128)) * 3).astype(np.float32)
+        labels = rng.integers(0, 3, (8, 128, 128))
+        labels[rng.random(labels.shape) < 0.1] = 255
+        valid = labels != 255
+        zs = z - z.max(axis=1, keepdims=True)
+        denom = np.exp(zs).sum(axis=1, keepdims=True)
+        safe = np.where(valid, labels, 0).astype(np.int64)[:, None, :, :]
+        picked = np.take_along_axis(zs - np.log(denom), safe, axis=1)[:, 0]
+        want = -(picked * valid).sum(dtype=z.dtype) / z.dtype.type(valid.sum())
+        got = ops.softmax_cross_entropy(Tensor(z), labels).data
+        assert got.dtype == np.float32 and got.tobytes() == np.float32(want).tobytes()
+
+    def test_float32_forward_holds_under_two_logits_arrays(self):
+        # One logits-sized array (the exponentials the backward reads) and a
+        # few (N, H, W) planes; no shifted or log-softmax copy of the logits.
+        rng = np.random.default_rng(24)
+        logits = Tensor(rng.normal(size=(2, 19, 64, 64)).astype(np.float32),
+                        requires_grad=True)
+        labels = rng.integers(0, 19, (2, 64, 64))
+        labels[:, :4] = 255
+        tracemalloc.start()
+        try:
+            with GradTape():
+                ops.softmax_cross_entropy(logits, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * logits.data.nbytes

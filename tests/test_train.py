@@ -14,7 +14,7 @@ from segnext import ops
 from segnext.data import SegSample, synth_dataset
 from segnext.encoder import preset
 from segnext.model import ParamEntry, build_model
-from segnext.tensor import Tensor
+from segnext.tensor import GradTape, Tensor, backward
 from segnext.train import (IouResult, LrSchedule, OptimState, TrainingDiverged,
                            adamw_step, confusion, cross_entropy, data_seeds,
                            evaluate, _argmax_classes, init_optim, miou,
@@ -381,6 +381,28 @@ class TestArgmaxClasses:
 class TestTrainLoop:
     def small_set(self):
         return synth_dataset(20, 4, 64, 3)
+
+    def test_step_peak_is_at_most_a_logits_array_above_the_forward(self):
+        # train()'s step on mscan-micro at batch 8, crop 128: forward and
+        # loss under the tape, then backward. The loss keeps one
+        # logits-sized array for the backward, which normalizes it in place,
+        # so neither end of the step adds another logits-sized temporary.
+        rng = np.random.default_rng(0)
+        model = build_model(MICRO, 3)
+        images = Tensor(rng.random((8, 3, 128, 128)).astype(np.float32))
+        labels = rng.integers(0, 3, (8, 128, 128))
+        labels[:, :8] = 255
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                logits = model.forward(images, training=True, rng=np.random.default_rng(1))
+                loss = cross_entropy(logits, labels)
+            live, _ = tracemalloc.get_traced_memory()
+            backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - live < logits.data.nbytes + 2**20
 
     def test_zero_iters_returns_initialized_model(self):
         tags = []
