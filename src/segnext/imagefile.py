@@ -74,6 +74,15 @@ def _read_tokens(buf: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i
 
 
+def _check_size(w: int, h: int) -> None:
+    """The size rule that readers and writers share: at least one pixel
+    either way, at most ``MAX_PIXELS`` in all."""
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"invalid dimensions {w}x{h}")
+    if w * h > MAX_PIXELS:
+        raise ImageFormatError(f"image {w}x{h} exceeds the {MAX_PIXELS}-pixel limit")
+
+
 def _parse_header(buf: bytes, magic: bytes):
     tokens, offset = _read_tokens(buf, 4)
     if tokens[0] != magic:
@@ -84,10 +93,7 @@ def _parse_header(buf: bytes, magic: bytes):
         w, h, maxval = (int(t) for t in tokens[1:])
     except ValueError:
         raise ImageFormatError(f"non-numeric header fields {tokens[1:]}") from None
-    if w < 1 or h < 1:
-        raise ImageFormatError(f"invalid dimensions {w}x{h}")
-    if w * h > MAX_PIXELS:
-        raise ImageFormatError(f"image {w}x{h} exceeds the {MAX_PIXELS}-pixel limit")
+    _check_size(w, h)
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval}, only 255 is handled")
     return w, h, offset
@@ -98,13 +104,15 @@ def write_ppm(path, image) -> None:
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
     if arr.ndim == 4 and arr.shape[0] == 1:
         arr = arr[0]
-    if arr.ndim == 3 and arr.shape[0] == 3 and np.issubdtype(arr.dtype, np.floating):
-        arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
+    planar = arr.ndim == 3 and arr.shape[0] == 3 and np.issubdtype(arr.dtype, np.floating)
+    if not planar and (arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8):
         raise ImageFormatError(
             f"cannot write shape {arr.shape} dtype {arr.dtype} as a color image"
         )
-    h, w, _ = arr.shape
+    h, w = arr.shape[1:] if planar else arr.shape[:2]
+    _check_size(w, h)
+    if planar:
+        arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
     atomic_write(path, (b"P6\n%d %d\n255\n" % (w, h), np.ascontiguousarray(arr)))
 
 
@@ -134,13 +142,14 @@ def write_pgm(path, labels: np.ndarray) -> None:
     arr = np.asarray(labels)
     if arr.ndim != 2:
         raise ImageFormatError(f"label map must be 2-D, got shape {arr.shape}")
+    h, w = arr.shape
+    _check_size(w, h)
     if np.issubdtype(arr.dtype, np.integer):
         if arr.min() < 0 or arr.max() > 255:
             raise ImageFormatError("label values must lie in [0, 255]")
         arr = arr.astype(np.uint8)
     if arr.dtype != np.uint8:
         raise ImageFormatError(f"label map must be integer-typed, got {arr.dtype}")
-    h, w = arr.shape
     atomic_write(path, (b"P5\n%d %d\n255\n" % (w, h), np.ascontiguousarray(arr)))
 
 

@@ -97,8 +97,12 @@ class ConvSpec:
         return oh, ow
 
 
-def _is_depthwise(spec: ConvSpec) -> bool:
-    return spec.groups == spec.in_channels == spec.out_channels
+def _is_banded(spec: ConvSpec) -> bool:
+    """A depthwise conv at stride 1, padded by less than its kernel: the
+    only kind the model has, and the only kind the banded GEMMs run."""
+    (kh, kw), (ph, pw) = spec.kernel, spec.padding
+    return (spec.groups == spec.in_channels == spec.out_channels
+            and spec.stride == (1, 1) and ph < kh and pw < kw)
 
 
 def _is_pointwise(spec: ConvSpec) -> bool:
@@ -121,8 +125,6 @@ class _Tiling(NamedTuple):
     flip: bool
     kh: int
     kw: int
-    sh: int
-    sw: int
     oh: int
     ow: int
     t: int  # output columns per tile
@@ -131,18 +133,18 @@ class _Tiling(NamedTuple):
 
     def band_index(self) -> tuple[slice, slice, np.ndarray, np.ndarray]:
         """Index of a (C, kh, span, t) array at the band: tap v of output
-        column j of a tile meets input column sw*j + v of the tile."""
+        column j of a tile meets input column j + v of the tile."""
         j = np.arange(self.t)
-        return slice(None), slice(None), self.sw * j + np.arange(self.kw)[:, None], j
+        return slice(None), slice(None), j + np.arange(self.kw)[:, None], j
 
 
-def _tiling(kernel: tuple[int, int], stride: tuple[int, int], oh: int, ow: int) -> _Tiling:
-    (kh, kw), (sh, sw) = kernel, stride
+def _tiling(kernel: tuple[int, int], oh: int, ow: int) -> _Tiling:
+    kh, kw = kernel
     flip = kh > kw
     if flip:
-        kh, kw, sh, sw, oh, ow = kw, kh, sw, sh, ow, oh
+        kh, kw, oh, ow = kw, kh, ow, oh
     t = min(ow, max(16, 2 * kw))
-    return _Tiling(flip, kh, kw, sh, sw, oh, ow, t, -(-ow // t), sw * (t - 1) + kw)
+    return _Tiling(flip, kh, kw, oh, ow, t, -(-ow // t), t - 1 + kw)
 
 
 def _dw_rows(x: np.ndarray, pad: tuple[int, int], tl: _Tiling):
@@ -158,10 +160,10 @@ def _dw_rows(x: np.ndarray, pad: tuple[int, int], tl: _Tiling):
     """
     n, c, h, w = x.shape
     ph, pw = pad
-    kh, sh, sw, oh, t, tiles, span = tl.kh, tl.sh, tl.sw, tl.oh, tl.t, tl.tiles, tl.span
+    kh, oh, t, tiles, span = tl.kh, tl.oh, tl.t, tl.tiles, tl.span
     wp = h + 2 * ph if tl.flip else w + 2 * pw
     # Only the last tile can overrun the input: it starts at column `last`.
-    last = sw * t * (tiles - 1)
+    last = t * (tiles - 1)
     full = tiles if last + span <= wp else tiles - 1
     cb = min(c, max(1, _DW_BLOCK_BYTES // max(1, n * oh * tiles * kh * span * x.itemsize)))
     padded = np.zeros((n, cb, h + 2 * ph, w + 2 * pw), x.dtype) if ph or pw else None
@@ -176,9 +178,9 @@ def _dw_rows(x: np.ndarray, pad: tuple[int, int], tl: _Tiling):
             xp = xp.transpose(0, 1, 3, 2)
         bn, bc, bh, bw = xp.strides
         win = as_strided(xp, (n, c1 - c0, oh, full, kh, span),
-                         (bn, bc, bh * sh, bw * sw * t, bh, bw), writeable=False)
+                         (bn, bc, bh, bw * t, bh, bw), writeable=False)
         if full == tiles and (kh == 1 or bh == bw * span) and (
-                tiles == 1 or oh == 1 or bh * sh == bw * sw * t * tiles):
+                tiles == 1 or oh == 1 or bh == bw * t * tiles):
             # The window merges into a (strided) row matrix without a copy, by
             # numpy's reshape rule: a single tile of a strip, say. The GEMMs
             # read it where it lies; a copy would change the BLAS call, and
@@ -192,23 +194,23 @@ def _dw_rows(x: np.ndarray, pad: tuple[int, int], tl: _Tiling):
         rows[:, :, :, :full] = win.transpose(1, 0, 2, 3, 4, 5)
         if full < tiles:
             edge = as_strided(xp[..., last:], (n, c1 - c0, oh, kh, wp - last),
-                              (bn, bc, bh * sh, bh, bw), writeable=False)
+                              (bn, bc, bh, bh, bw), writeable=False)
             rows[:, :, :, full, :, : wp - last] = edge.transpose(1, 0, 2, 3, 4)
         yield c0, c1, rows.reshape(c1 - c0, n, oh * tiles, kh * span)
 
 
-def _banded_depthwise(x: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
-                      pad: tuple[int, int], oh: int, ow: int) -> np.ndarray:
-    """Depthwise cross-correlation of ``x`` (N, C, H, W), zero padded by
+def _banded_depthwise(x: np.ndarray, wk: np.ndarray, pad: tuple[int, int],
+                      oh: int, ow: int) -> np.ndarray:
+    """Stride-1 depthwise cross-correlation of ``x`` (N, C, H, W), zero padded by
     ``pad``, with one kernel per channel, ``wk`` (C, kh, kw), as batched GEMMs.
 
     The output width is cut into tiles of ``t`` columns. A tile's outputs read
     ``span`` input columns from each of ``kh`` rows, and every tile shares one
-    banded (Toeplitz) matrix per channel, band[c, u, sw*j + v, j] = wk[c, u, v],
+    banded (Toeplitz) matrix per channel, band[c, u, j + v, j] = wk[c, u, v],
     so (rows of kh*span inputs) @ (kh*span, t) band gives the tile. The rows
     come from ``_dw_rows``, one block of channels at a time.
     """
-    tl = _tiling(wk.shape[1:], stride, oh, ow)
+    tl = _tiling(wk.shape[1:], oh, ow)
     if tl.flip:
         wk = wk.transpose(0, 2, 1)
     n, c = x.shape[:2]
@@ -226,13 +228,13 @@ def _banded_depthwise(x: np.ndarray, wk: np.ndarray, stride: tuple[int, int],
 
 
 def _depthwise_dw(x: np.ndarray, grad: np.ndarray, kernel: tuple[int, int],
-                  stride: tuple[int, int], pad: tuple[int, int]) -> np.ndarray:
+                  pad: tuple[int, int]) -> np.ndarray:
     """Weight gradient (C, kh, kw) of ``_banded_depthwise`` from the same
     rows: per channel, (kh*span, rows) @ (rows, t) output-gradient tiles,
     and each tap is the sum of its band diagonal. Every channel runs the same
     GEMM, so its bits do not depend on the block it falls in."""
     n, c, oh, ow = grad.shape
-    tl = _tiling(kernel, stride, oh, ow)
+    tl = _tiling(kernel, oh, ow)
     if tl.flip:
         grad = grad.transpose(0, 1, 3, 2)
     dw = np.empty((c, tl.kh, tl.kw), dtype=grad.dtype)
@@ -296,8 +298,8 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec,
         c = spec.in_channels
         out = np.matmul(w.reshape(o, c), x.reshape(n, c, oh * ow))
         return out.reshape(n, o, oh, ow)
-    if _is_depthwise(spec):
-        return _banded_depthwise(x, w[:, 0], spec.stride, spec.padding, oh, ow)
+    if _is_banded(spec):
+        return _banded_depthwise(x, w[:, 0], spec.padding, oh, ow)
     # One GEMM per group: (g, og, cg*kh*kw) @ (g, cg*kh*kw, n*oh*ow).
     out = np.matmul(w.reshape(g, o // g, -1), _group_cols(x, spec, oh, ow))
     return np.ascontiguousarray(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
@@ -309,7 +311,6 @@ def _conv_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpe
     c, h, w_ = x.shape[1:]
     g = spec.groups
     kh, kw = spec.kernel
-    sh, sw = spec.stride
     ph, pw = spec.padding  # type: ignore[misc]
 
     if _is_pointwise(spec):
@@ -321,26 +322,15 @@ def _conv_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpe
             dx = np.matmul(w.reshape(o, c).T, g2).reshape(n, c, oh, ow)
         return dx, dw
 
-    if _is_depthwise(spec):
-        wk = w[:, 0, ::-1, ::-1]  # (c, kh, kw), flipped
-        dw = _depthwise_dw(x, grad, spec.kernel, spec.stride, (ph, pw)).reshape(w.shape)
+    if _is_banded(spec):
+        dw = _depthwise_dw(x, grad, spec.kernel, (ph, pw)).reshape(w.shape)
         dx = None
-        if need_x and spec.stride == (1, 1) and ph < kh and pw < kw:
+        if need_x:
             # dx is the correlation of the flipped kernel with the output
             # gradient zero padded by (kh-1-ph, kw-1-pw), which the forward's
             # rows pad one block of channels at a time.
-            dx = _banded_depthwise(grad, wk, (1, 1), (kh - 1 - ph, kw - 1 - pw), h, w_)
-        elif need_x:
-            # Strided, or padded by a kernel's size or more: the gradient is
-            # dilated by the stride and placed so that grad[i, j] sits at
-            # (kh-1-ph + sh*i, kw-1-pw + sw*j) of a zero frame one kernel
-            # larger than the input, rows and columns outside it dropped.
-            fh, fw = h + kh - 1, w_ + kw - 1
-            fr, gr = _tap_slices(kh - 1 - ph, sh, oh, fh)
-            fc, gc = _tap_slices(kw - 1 - pw, sw, ow, fw)
-            frame = np.zeros((n, o, fh, fw), dtype=grad.dtype)
-            frame[:, :, fr, fc] = grad[:, :, gr, gc]
-            dx = _banded_depthwise(frame, wk, (1, 1), (0, 0), h, w_)
+            wk = w[:, 0, ::-1, ::-1]  # (c, kh, kw), flipped
+            dx = _banded_depthwise(grad, wk, (kh - 1 - ph, kw - 1 - pw), h, w_)
         return dx, dw
 
     # Grouped and dense, on the forward's columns: grad as (g, og, n*oh*ow).

@@ -60,10 +60,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detached(self) -> "Tensor":
-        """Copy with no grad requirement (fresh buffer)."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self) -> str:
         grad = " grad" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}{grad})"

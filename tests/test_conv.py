@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segnext import ops
+from segnext.analysis import cost_report
+from segnext.encoder import PRESETS
+from segnext.model import build_model
 from segnext.tensor import GradTape, ShapeError, Tensor, backward
 
 from oracles import conv2d_loops, depthwise_dw_loops, fd_gradient, rel_err
@@ -134,15 +137,16 @@ def test_conv_gradients_match_finite_differences(ci, co, k, s, p, g, h, w):
 DEPTHWISE = [r for r in REGIMES if r[0] == r[1] == r[5]]
 
 
-def _block_bytes(channels, n, k, s, p, h, w, itemsize):
+def _block_bytes(channels, n, k, p, h, w, itemsize):
     """A ``_DW_BLOCK_BYTES`` that makes the forward copy ``channels`` channels
-    per block: the bytes of their rows in ``_banded_depthwise``'s tiles."""
-    oh, ow = ops.ConvSpec(1, 1, k, stride=s, padding=p).out_size(h, w)
-    (kh, kw), sw = k, s[1]
+    per block: the bytes of their rows in ``_banded_depthwise``'s stride-1
+    tiles. Strided rows run on the columns, which take no budget."""
+    oh, ow = ops.ConvSpec(1, 1, k, padding=p).out_size(h, w)
+    kh, kw = k
     if kh > kw:  # tall kernels run on the transposed input
-        kh, kw, sw, oh, ow = kw, kh, s[0], ow, oh
+        kh, kw, oh, ow = kw, kh, ow, oh
     t = min(ow, max(16, 2 * kw))
-    return channels * n * oh * -(-ow // t) * kh * (sw * (t - 1) + kw) * itemsize
+    return channels * n * oh * -(-ow // t) * kh * (t - 1 + kw) * itemsize
 
 
 def _conv_and_grads(x, wt, b, spec):
@@ -156,7 +160,9 @@ def _conv_and_grads(x, wt, b, spec):
 
 class TestDepthwiseChannelBlocks:
     """``_banded_depthwise`` copies its rows one block of channels at a time;
-    every depthwise row above fits in one block at the default budget."""
+    every depthwise row above fits in one block at the default budget. The
+    strided and over-padded rows run on the grouped columns, so for them the
+    budget must change nothing."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("blocks", ["one-channel", "ragged-last"])
@@ -171,7 +177,7 @@ class TestDepthwiseChannelBlocks:
         args = [a.astype(dtype) for a in (x, wt, b)]
         whole = _conv_and_grads(*args, spec)
         budget = 1 if blocks == "one-channel" else _block_bytes(
-            ci - 1, 2, k, s, spec.padding, h, w, np.dtype(dtype).itemsize)
+            ci - 1, 2, k, spec.padding, h, w, np.dtype(dtype).itemsize)
         monkeypatch.setattr(ops, "_DW_BLOCK_BYTES", budget)
         got = _conv_and_grads(*args, spec)
         for a, want in zip(got, whole):
@@ -249,10 +255,10 @@ class TestDepthwiseChannelBlocks:
         assert x.data.nbytes + held < 1.1 * (x.data.nbytes + out.data.nbytes)
 
     def test_float32_3x3_backward_holds_no_whole_size_frame(self):
-        # At stride 1, dx is the flipped kernel run on the output gradient,
-        # which the rows pad one block of channels at a time: besides dx,
-        # only block-sized buffers. A zero frame one kernel larger than the
-        # input (8x64@34x34, 2.4 MB) is more than two blocks.
+        # dx is the flipped kernel run on the output gradient, which the
+        # rows pad one block of channels at a time: besides dx, only
+        # block-sized buffers. A zero frame one kernel larger than the input
+        # (8x64@34x34, 2.4 MB) is more than two blocks.
         rng = np.random.default_rng(0)
         spec = ops.ConvSpec(64, 64, (3, 3), groups=64)
         x = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
@@ -282,7 +288,9 @@ def depthwise_cases(draw):
 
 
 class TestDepthwiseWeightGradient:
-    """``dw`` comes from the forward's blocked rows; the tap loop is the oracle."""
+    """``dw`` comes from the forward's blocked rows at stride 1 with padding
+    under the kernel, from the grouped columns otherwise; the tap loop is the
+    oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=depthwise_cases(), seed=st.integers(0, 2**32 - 1))
@@ -301,6 +309,56 @@ class TestDepthwiseWeightGradient:
             dw = backward(tape, loss).of(wt)
         want = depthwise_dw_loops(x, g, spec.kernel, spec.stride, spec.padding)
         assert rel_err(dw, want) <= 1e-12
+
+
+def _spy_routes(monkeypatch):
+    """Record, per conv routed to ``_group_cols`` or ``_banded_depthwise``,
+    the route and whether the conv is depthwise."""
+    seen = []
+
+    def cols(x, spec, oh, ow):
+        depthwise = spec.groups == spec.in_channels == spec.out_channels
+        seen.append(("cols", depthwise))
+        return real_cols(x, spec, oh, ow)
+
+    def banded(*a):
+        seen.append(("banded", True))
+        return real_banded(*a)
+
+    real_cols, real_banded = ops._group_cols, ops._banded_depthwise
+    monkeypatch.setattr(ops, "_group_cols", cols)
+    monkeypatch.setattr(ops, "_banded_depthwise", banded)
+    return seen
+
+
+class TestDepthwiseRoute:
+    """The banded GEMMs run exactly the depthwise convs at stride 1 padded by
+    less than the kernel; any other depthwise conv runs on the grouped
+    columns. A stride-1 depthwise conv that fell off the banded path would
+    pass every correctness test, only slower."""
+
+    # The segnext-* presets are the same configs under a second name.
+    @pytest.mark.parametrize("name", sorted(n for n in PRESETS if n.startswith("mscan-")))
+    def test_model_sends_no_depthwise_conv_to_the_columns(self, name, monkeypatch):
+        model = build_model(PRESETS[name], seed=0)
+        seen = _spy_routes(monkeypatch)
+        cost_report(model, 64, 64)
+        assert ("banded", True) in seen
+        assert ("cols", True) not in seen
+
+    @pytest.mark.parametrize("ci,co,k,s,p,g,h,w", [
+        r for r in DEPTHWISE
+        if r[3] != (1, 1) or any(q >= kq for q, kq in zip(r[4] or (0, 0), r[2]))])
+    def test_strided_and_over_padded_depthwise_run_on_the_columns(
+            self, ci, co, k, s, p, g, h, w, monkeypatch):
+        spec = ops.ConvSpec(co, ci, k, stride=s, padding=p, groups=g)
+        x = np.random.default_rng(0).normal(size=(2, ci, h, w))
+        wt = np.ones(spec.weight_shape)
+        b = np.zeros((1, co, 1, 1))
+        seen = _spy_routes(monkeypatch)
+        _conv_and_grads(x, wt, b, spec)
+        # The forward and the backward's dw each build the columns.
+        assert seen == [("cols", True), ("cols", True)]
 
 
 class TestConvValidation:

@@ -2,6 +2,7 @@
 input rejection."""
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segnext.data import synth_dataset
-from segnext.imagefile import (ImageFormatError, read_pgm, read_ppm,
+from segnext.imagefile import (MAX_PIXELS, ImageFormatError, read_pgm, read_ppm,
                                write_pgm, write_ppm)
 from segnext.tensor import Tensor
 
@@ -80,6 +81,55 @@ class TestPgm:
             write_pgm(tmp_path / "x.pgm", np.array([[300]]))
         with pytest.raises(ImageFormatError):
             write_pgm(tmp_path / "x.pgm", np.array([[-1]]))
+
+
+def _read_rgb(path):
+    """``read_ppm``'s image as HxWx3 uint8."""
+    return np.rint(read_ppm(path).data[0] * 255).astype(np.uint8).transpose(1, 2, 0)
+
+
+class TestWriteSize:
+    """The writers refuse the sizes the readers refuse, before they make a
+    file or read the pixels."""
+
+    def test_small_maps_raise_and_leave_no_file_or_read_back(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for h in range(4):
+            for w in range(4):
+                img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+                label = img[..., 0].astype(np.int64)
+                for name, write, read, arr, want in (
+                        ("pgm", write_pgm, read_pgm, label, label),
+                        ("ppm", write_ppm, _read_rgb, img, img),
+                        ("ppm-float", write_ppm, _read_rgb,
+                         img.transpose(2, 0, 1) / np.float32(255), img)):
+                    d = tmp_path / f"{name}-{h}x{w}"
+                    d.mkdir()
+                    try:
+                        write(d / "x", arr)
+                    except ImageFormatError:
+                        assert h * w == 0 and list(d.iterdir()) == [], (name, h, w)
+                        continue
+                    np.testing.assert_array_equal(read(d / "x"), want)
+
+    def test_over_the_pixel_limit_raises_before_allocating(self, tmp_path):
+        # Broadcast views of one value: the check must come before any copy.
+        w = 8192
+        h = MAX_PIXELS // w + 1
+        tracemalloc.start()
+        try:
+            for write, arr in (
+                    (write_pgm, np.broadcast_to(np.uint8(0), (h, w))),
+                    (write_pgm, np.broadcast_to(np.int64(0), (h, w))),
+                    (write_ppm, np.broadcast_to(np.uint8(0), (h, w, 3))),
+                    (write_ppm, np.broadcast_to(np.float32(0.5), (3, h, w)))):
+                with pytest.raises(ImageFormatError, match="pixel limit"):
+                    write(tmp_path / "x", arr)
+                assert list(tmp_path.iterdir()) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestAtomicWrite:

@@ -47,13 +47,6 @@ class TestTensorConstruction:
             t([[[[1.0, 2.0]]]]).item()
         assert t([[[[3.5]]]]).item() == 3.5
 
-    def test_detached_copies_and_drops_grad(self):
-        a = t([[[[1.0]]]], grad=True)
-        d = a.detached()
-        assert not d.requires_grad
-        assert not np.shares_memory(d.data, a.data)
-        np.testing.assert_array_equal(d.data, a.data)
-
 
 class TestTapeLifecycle:
     def test_nested_tapes_rejected(self):
