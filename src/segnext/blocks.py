@@ -32,6 +32,9 @@ from .tensor import ShapeError, Tensor, recording
 
 LAYER_SCALE_INIT = 1e-2
 STRIP_KERNELS = (7, 11, 21)
+# Every batch norm's epsilon and running-statistics momentum.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 # Bytes of one block of FFN hidden channels at inference. A block's
 # expansion, depthwise and GELU outputs are the FFN's only hidden-width
@@ -53,8 +56,6 @@ class BatchNorm:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
 
 
 class StripPair(NamedTuple):
@@ -101,7 +102,7 @@ def conv(x: Tensor, layer: ConvLayer) -> Tensor:
 
 def norm(x: Tensor, bn: BatchNorm, training: bool) -> Tensor:
     return ops.batchnorm2d(
-        x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, bn.eps, training, bn.momentum
+        x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, BN_EPS, training, BN_MOMENTUM
     )
 
 

@@ -134,6 +134,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise CheckpointError(
             f"unsupported checkpoint version {version}; this build reads version {VERSION}"
         )
+    if flags & ~_FLAG_OPTIM:
+        raise CheckpointError(f"unknown checkpoint flags {flags & ~_FLAG_OPTIM:#x}")
     (cfg_len,) = r.unpack("<I")
     cfg_text = _utf8(r.take(cfg_len), "config text")
     try:

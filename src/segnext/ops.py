@@ -118,15 +118,11 @@ _DW_BLOCK_BYTES = 1 << 20
 
 
 class _Tiling(NamedTuple):
-    """How depthwise rows cut the output into tiles, in the orientation the
-    rows run in: kernels taller than wide run on the transposed input, so
-    the band lies along the long axis (``flip``)."""
+    """How depthwise rows cut the output into tiles."""
 
-    flip: bool
     kh: int
     kw: int
     oh: int
-    ow: int
     t: int  # output columns per tile
     tiles: int
     span: int  # input columns a tile reads
@@ -140,11 +136,8 @@ class _Tiling(NamedTuple):
 
 def _tiling(kernel: tuple[int, int], oh: int, ow: int) -> _Tiling:
     kh, kw = kernel
-    flip = kh > kw
-    if flip:
-        kh, kw, oh, ow = kw, kh, ow, oh
     t = min(ow, max(16, 2 * kw))
-    return _Tiling(flip, kh, kw, oh, ow, t, -(-ow // t), t - 1 + kw)
+    return _Tiling(kh, kw, oh, t, -(-ow // t), t - 1 + kw)
 
 
 def _dw_rows(x: np.ndarray, pad: tuple[int, int], tl: _Tiling):
@@ -153,49 +146,25 @@ def _dw_rows(x: np.ndarray, pad: tuple[int, int], tl: _Tiling):
     tile, the ``kh`` input rows of ``span`` columns that it reads.
 
     Each block is zero padded by ``pad`` into one reused buffer laid out
-    (N, block, H + 2ph, W + 2pw), as ``np.pad`` would lay out the whole input,
-    in either orientation. Its rows are copied into another reused buffer of
-    about ``_DW_BLOCK_BYTES``. A last tile that overruns the input reads only
-    the columns that exist; the rest of its rows stay zero.
+    (N, block, H + 2ph, t*(tiles-1) + span), wide enough for whole tiles: a
+    last tile that overruns the input reads zeros. Its rows are copied into
+    another reused buffer of about ``_DW_BLOCK_BYTES``.
     """
     n, c, h, w = x.shape
     ph, pw = pad
     kh, oh, t, tiles, span = tl.kh, tl.oh, tl.t, tl.tiles, tl.span
-    wp = h + 2 * ph if tl.flip else w + 2 * pw
-    # Only the last tile can overrun the input: it starts at column `last`.
-    last = t * (tiles - 1)
-    full = tiles if last + span <= wp else tiles - 1
     cb = min(c, max(1, _DW_BLOCK_BYTES // max(1, n * oh * tiles * kh * span * x.itemsize)))
-    padded = np.zeros((n, cb, h + 2 * ph, w + 2 * pw), x.dtype) if ph or pw else None
-    buf = None
+    padded = np.zeros((n, cb, h + 2 * ph, t * (tiles - 1) + span), x.dtype)
+    buf = np.empty((cb, n, oh, tiles, kh, span), x.dtype)
     for c0 in range(0, c, cb):
         c1 = min(c0 + cb, c)
-        xp = x[:, c0:c1]
-        if padded is not None:
-            xp = padded[:, : c1 - c0]
-            xp[:, :, ph : ph + h, pw : pw + w] = x[:, c0:c1]
-        if tl.flip:
-            xp = xp.transpose(0, 1, 3, 2)
+        xp = padded[:, : c1 - c0]
+        xp[:, :, ph : ph + h, pw : pw + w] = x[:, c0:c1]
         bn, bc, bh, bw = xp.strides
-        win = as_strided(xp, (n, c1 - c0, oh, full, kh, span),
+        win = as_strided(xp, (n, c1 - c0, oh, tiles, kh, span),
                          (bn, bc, bh, bw * t, bh, bw), writeable=False)
-        if full == tiles and (kh == 1 or bh == bw * span) and (
-                tiles == 1 or oh == 1 or bh == bw * t * tiles):
-            # The window merges into a (strided) row matrix without a copy, by
-            # numpy's reshape rule: a single tile of a strip, say. The GEMMs
-            # read it where it lies; a copy would change the BLAS call, and
-            # the bits.
-            rows = win.reshape(n, c1 - c0, oh * tiles, kh * span)
-            yield c0, c1, rows.transpose(1, 0, 2, 3)
-            continue
-        if buf is None:
-            buf = (np.empty if full == tiles else np.zeros)((cb, n, oh, tiles, kh, span), x.dtype)
         rows = buf[: c1 - c0]
-        rows[:, :, :, :full] = win.transpose(1, 0, 2, 3, 4, 5)
-        if full < tiles:
-            edge = as_strided(xp[..., last:], (n, c1 - c0, oh, kh, wp - last),
-                              (bn, bc, bh, bh, bw), writeable=False)
-            rows[:, :, :, full, :, : wp - last] = edge.transpose(1, 0, 2, 3, 4)
+        rows[...] = win.transpose(1, 0, 2, 3, 4, 5)
         yield c0, c1, rows.reshape(c1 - c0, n, oh * tiles, kh * span)
 
 
@@ -208,13 +177,17 @@ def _banded_depthwise(x: np.ndarray, wk: np.ndarray, pad: tuple[int, int],
     ``span`` input columns from each of ``kh`` rows, and every tile shares one
     banded (Toeplitz) matrix per channel, band[c, u, j + v, j] = wk[c, u, v],
     so (rows of kh*span inputs) @ (kh*span, t) band gives the tile. The rows
-    come from ``_dw_rows``, one block of channels at a time.
+    come from ``_dw_rows``, one block of channels at a time. A kernel taller
+    than wide runs as the wide kernel on the transposed input, so the band
+    lies along the long axis.
     """
+    if wk.shape[1] > wk.shape[2]:
+        out = _banded_depthwise(x.transpose(0, 1, 3, 2), wk.transpose(0, 2, 1),
+                                pad[::-1], ow, oh)
+        return out.transpose(0, 1, 3, 2)
     tl = _tiling(wk.shape[1:], oh, ow)
-    if tl.flip:
-        wk = wk.transpose(0, 2, 1)
     n, c = x.shape[:2]
-    out = np.empty((n, c, tl.oh * tl.tiles, tl.t), dtype=x.dtype)
+    out = np.empty((n, c, oh * tl.tiles, tl.t), dtype=x.dtype)
     band = None
     for c0, c1, rows in _dw_rows(x, pad, tl):
         if band is None:  # the first block is the largest; off the band stays 0
@@ -223,33 +196,33 @@ def _banded_depthwise(x: np.ndarray, wk: np.ndarray, pad: tuple[int, int],
         b[tl.band_index()] = wk[c0:c1, ..., None]
         np.matmul(rows, b.reshape(c1 - c0, 1, -1, tl.t),
                   out=out[:, c0:c1].transpose(1, 0, 2, 3))
-    out = out.reshape(n, c, tl.oh, tl.tiles * tl.t)[..., : tl.ow]
-    return out.transpose(0, 1, 3, 2) if tl.flip else out
+    return out.reshape(n, c, oh, tl.tiles * tl.t)[..., :ow]
 
 
 def _depthwise_dw(x: np.ndarray, grad: np.ndarray, kernel: tuple[int, int],
                   pad: tuple[int, int]) -> np.ndarray:
     """Weight gradient (C, kh, kw) of ``_banded_depthwise`` from the same
-    rows: per channel, (kh*span, rows) @ (rows, t) output-gradient tiles,
-    and each tap is the sum of its band diagonal. Every channel runs the same
-    GEMM, so its bits do not depend on the block it falls in."""
+    rows, in the same orientation: per channel, (kh*span, rows) @ (rows, t)
+    output-gradient tiles, and each tap is the sum of its band diagonal.
+    Every channel runs the same GEMM, so its bits do not depend on the block
+    it falls in."""
+    if kernel[0] > kernel[1]:
+        dw = _depthwise_dw(x.transpose(0, 1, 3, 2), grad.transpose(0, 1, 3, 2),
+                           kernel[::-1], pad[::-1])
+        return dw.transpose(0, 2, 1)
     n, c, oh, ow = grad.shape
     tl = _tiling(kernel, oh, ow)
-    if tl.flip:
-        grad = grad.transpose(0, 1, 3, 2)
-    dw = np.empty((c, tl.kh, tl.kw), dtype=grad.dtype)
+    dw = np.empty((c, *kernel), dtype=grad.dtype)
     for c0, c1, rows in _dw_rows(x, pad, tl):
-        gt = np.zeros((c1 - c0, n, tl.oh, tl.tiles * tl.t), grad.dtype)
-        gt[..., : tl.ow] = grad[:, c0:c1].transpose(1, 0, 2, 3)
-        # Uncopied rows are laid out as the block allows; a C-ordered copy
-        # gives every channel the same layout.
-        rows = np.ascontiguousarray(rows).reshape(c1 - c0, -1, rows.shape[3])
-        m = np.matmul(rows.transpose(0, 2, 1), gt.reshape(c1 - c0, -1, tl.t))
+        gt = np.zeros((c1 - c0, n, oh, tl.tiles * tl.t), grad.dtype)
+        gt[..., :ow] = grad[:, c0:c1].transpose(1, 0, 2, 3)
+        m = np.matmul(rows.reshape(c1 - c0, -1, rows.shape[3]).transpose(0, 2, 1),
+                      gt.reshape(c1 - c0, -1, tl.t))
         # Fancy indexing lays its result out by the index shape; sum each
         # diagonal from a C-ordered copy, so the order does not depend on c1-c0.
         diag = m.reshape(c1 - c0, tl.kh, tl.span, tl.t)[tl.band_index()]
         dw[c0:c1] = np.ascontiguousarray(diag).sum(axis=-1)
-    return dw.transpose(0, 2, 1) if tl.flip else dw
+    return dw
 
 
 def _tap_slices(offset: int, step: int, count: int, size: int) -> tuple[slice, slice]:

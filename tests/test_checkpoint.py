@@ -175,6 +175,17 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("flags", [0x2, 0x3, 0x80000000])
+    def test_unknown_flags_under_valid_crc_rejected(self, model, tmp_path, flags):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", flags)
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="flags"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("target", ["config", "param_name"])
     def test_invalid_utf8_under_valid_crc_rejected(self, model, tmp_path, target):
         import zlib

@@ -159,10 +159,10 @@ def _conv_and_grads(x, wt, b, spec):
 
 
 class TestDepthwiseChannelBlocks:
-    """``_banded_depthwise`` copies its rows one block of channels at a time;
-    every depthwise row above fits in one block at the default budget. The
-    strided and over-padded rows run on the grouped columns, so for them the
-    budget must change nothing."""
+    """``_banded_depthwise`` pads one block of channels at a time to whole
+    tiles and copies all of its rows; every depthwise row above fits in one
+    block at the default budget. The strided and over-padded rows run on the
+    grouped columns, so for them the budget must change nothing."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("blocks", ["one-channel", "ragged-last"])
@@ -198,7 +198,8 @@ class TestDepthwiseChannelBlocks:
             assert rel_err(got[1 + i], fd_gradient(loss_of(i), a.copy())) < tol
 
     def test_one_channel_blocks_run_one_gemm_per_channel(self, monkeypatch):
-        # The ragged-width row copies its rows, so the block loop runs.
+        # Every block's rows are copied, so at a one-byte budget each channel
+        # is a block of its own and runs its own GEMM.
         spec = ops.ConvSpec(3, 3, (3, 3), groups=3, bias=False)
         x = np.random.default_rng(0).normal(size=(2, 3, 5, 37))
         w = np.ones(spec.weight_shape)
@@ -271,6 +272,42 @@ class TestDepthwiseChannelBlocks:
         finally:
             tracemalloc.stop()
         assert peak < dx.nbytes + 2 * ops._DW_BLOCK_BYTES
+
+
+def _swap_hw(a):
+    return np.ascontiguousarray(a.transpose(0, 1, 3, 2))
+
+
+def _depthwise_and_grads(x, wt, g, kernel):
+    """Output, dx and dw of a bias-free depthwise conv whose output gradient
+    is ``g``."""
+    c = x.shape[1]
+    spec = ops.ConvSpec(c, c, kernel, groups=c, bias=False)
+    xt, wtt = Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True)
+    with GradTape() as tape:
+        out = ops.conv2d(xt, wtt, None, spec)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    grads = backward(tape, loss)
+    return out.data, grads.of(xt), grads.of(wtt)
+
+
+class TestDepthwiseOrientation:
+    """A kernel taller than wide runs as the wide kernel on the transposed
+    input, so a (k,1) conv gives the bits of the (1,k) conv on the
+    transposed input and kernel, transposed back: output, dx and dw."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h,w", [(4, 4), (17, 3), (40, 90), (5, 37), (32, 32), (13, 29)])
+    @pytest.mark.parametrize("k", [3, 7, 11, 21])
+    def test_tall_kernel_is_the_wide_kernel_transposed(self, k, h, w, dtype):
+        rng = np.random.default_rng([k, h, w])
+        x = rng.normal(size=(2, 3, h, w)).astype(dtype)
+        wt = rng.normal(size=(3, 1, k, 1)).astype(dtype)
+        g = rng.normal(size=(2, 3, h, w)).astype(dtype)
+        tall = _depthwise_and_grads(x, wt, g, (k, 1))
+        wide = _depthwise_and_grads(_swap_hw(x), _swap_hw(wt), _swap_hw(g), (1, k))
+        for a, b in zip(tall, wide):
+            assert a.dtype == dtype and a.tobytes() == _swap_hw(b).tobytes()
 
 
 @st.composite
