@@ -11,9 +11,9 @@ from .encoder import ConfigError, ModelConfig, StageConfig, preset
 from .imagefile import ImageFormatError, read_pgm, read_ppm, write_pgm, write_ppm
 from .model import ImageClassifier, SegModel, build_classifier, build_model
 from .tensor import GradTape, Gradients, GraphError, ShapeError, Tensor, backward
-from .train import (IouResult, LrSchedule, OptimState, TrainingDiverged,
-                    TrainResult, adamw_step, cross_entropy, evaluate, init_optim,
-                    miou, ms_flip_inference, poly_lr, predict, train)
+from .train import (IouResult, OptimState, TrainingDiverged, TrainResult,
+                    adamw_step, cross_entropy, evaluate, init_optim, miou,
+                    ms_flip_inference, poly_lr, predict, train)
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "ImageFormatError", "read_pgm", "read_ppm", "write_pgm", "write_ppm",
     "ImageClassifier", "SegModel", "build_classifier", "build_model",
     "GradTape", "Gradients", "GraphError", "ShapeError", "Tensor", "backward",
-    "IouResult", "LrSchedule", "OptimState", "TrainingDiverged", "TrainResult",
+    "IouResult", "OptimState", "TrainingDiverged", "TrainResult",
     "adamw_step", "cross_entropy", "evaluate", "init_optim", "miou",
     "ms_flip_inference", "poly_lr", "predict", "train",
     "__version__",

@@ -16,7 +16,7 @@ from .config import RunConfig, parse_config, serialize_config
 from .encoder import ConfigError
 from .imagefile import atomic_write
 from .model import SegModel, build_model
-from .train import OptimState
+from .train import ADAM_BETAS, ADAM_EPS, OptimState
 
 MAGIC = b"SGNX"
 VERSION = 1
@@ -83,8 +83,8 @@ def _body_parts(model: SegModel, optim: OptimState | None,
     for b in buffers:
         yield from _array_parts(b.name, b.array)
     if optim is not None:
-        yield struct.pack("<Qddddd", optim.t, optim.betas[0], optim.betas[1],
-                          optim.eps, optim.weight_decay, 0.0)
+        yield struct.pack("<Qddddd", optim.t, *ADAM_BETAS, ADAM_EPS,
+                          optim.weight_decay, 0.0)
         for e in params:
             yield np.ascontiguousarray(optim.m[e.name], dtype="<f4")
             yield np.ascontiguousarray(optim.v[e.name], dtype="<f4")
@@ -177,7 +177,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     optim = None
     if flags & _FLAG_OPTIM:
         t, b1, b2, eps, wd, _ = r.unpack("<Qddddd")
-        optim = OptimState(betas=(b1, b2), eps=eps, weight_decay=wd, t=int(t))
+        if (b1, b2, eps) != (*ADAM_BETAS, ADAM_EPS):
+            raise CheckpointError(f"Adam betas and eps {b1}, {b2}, {eps} are not this build's")
+        optim = OptimState(wd, t=int(t))
         for e in params:
             optim.m[e.name] = r.floats(e.tensor.data.shape).astype(np.float32)
             optim.v[e.name] = r.floats(e.tensor.data.shape).astype(np.float32)

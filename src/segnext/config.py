@@ -5,11 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Callable, get_type_hints
 
-from .encoder import ConfigError, ModelConfig, PRESETS, StageConfig, preset
+from .encoder import MIN_INPUT_SIZE, ConfigError, ModelConfig, PRESETS, StageConfig, preset
 
 
 @dataclass(frozen=True)
 class TrainParams:
+    """The training recipe, named, defaulted and checked here alone. The
+    fields are the ``[train]`` keys and ``train()``'s keywords."""
+
     iters: int = 2000
     batch: int = 8
     crop: int = 128
@@ -20,6 +23,20 @@ class TrainParams:
     weight_decay: float = 0.01
     eval_interval: int = 250
     checkpoint_interval: int = 500
+
+    def __post_init__(self):
+        if self.iters < 0:
+            raise ConfigError(f"iters must be >= 0, got {self.iters}")
+        if self.batch < 1:
+            raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        if self.crop < MIN_INPUT_SIZE:
+            raise ConfigError(f"crop must be >= {MIN_INPUT_SIZE}, got {self.crop}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.warmup_iters < 0:
+            raise ConfigError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
+        if not 0.0 < self.warmup_ratio <= 1.0:
+            raise ConfigError(f"warmup_ratio must be in (0, 1], got {self.warmup_ratio}")
 
 
 @dataclass(frozen=True)

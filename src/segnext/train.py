@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
+from .config import TrainParams
 from .data import SegSample, augment
 from .decoder import _argmax_classes
 from .encoder import ModelConfig
@@ -19,48 +20,34 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss turns non-finite; the last checkpoint survives."""
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    base_lr: float
-    max_iter: int
-    power: float = 1.0
-    warmup_iters: int = 0
-    warmup_ratio: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.warmup_iters < 0:
-            raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
-        if not 0.0 < self.warmup_ratio <= 1.0:
-            raise ValueError(f"warmup_ratio must be in (0, 1], got {self.warmup_ratio}")
+def poly_lr(i: int, tp: TrainParams) -> float:
+    if tp.iters < 1:
+        raise ValueError(f"the schedule needs iters >= 1, got {tp.iters}")
+    if i < 0 or i > tp.iters:
+        raise ValueError(f"iteration {i} outside [0, {tp.iters}]")
+    if i < tp.warmup_iters:
+        frac = i / tp.warmup_iters
+        return tp.lr * (tp.warmup_ratio + (1.0 - tp.warmup_ratio) * frac)
+    return tp.lr * (1.0 - i / tp.iters) ** tp.power
 
 
-def poly_lr(i: int, sched: LrSchedule) -> float:
-    if i < 0 or i > sched.max_iter:
-        raise ValueError(f"iteration {i} outside [0, {sched.max_iter}]")
-    if i < sched.warmup_iters:
-        frac = i / sched.warmup_iters
-        return sched.base_lr * (sched.warmup_ratio + (1.0 - sched.warmup_ratio) * frac)
-    return sched.base_lr * (1.0 - i / sched.max_iter) ** sched.power
+ADAM_BETAS = (0.9, 0.999)  # fixed, like ADAM_EPS; a checkpoint holding others is refused
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class OptimState:
     """AdamW moments keyed by parameter name, plus the step counter."""
 
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.01
+    weight_decay: float
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_optim(params: list[ParamEntry], weight_decay: float = 0.01) -> OptimState:
-    state = OptimState(weight_decay=weight_decay)
+def init_optim(params: list[ParamEntry],
+               weight_decay: float = TrainParams.weight_decay) -> OptimState:
+    state = OptimState(weight_decay)
     for e in params:
         state.m[e.name] = np.zeros_like(e.tensor.data)
         state.v[e.name] = np.zeros_like(e.tensor.data)
@@ -80,7 +67,7 @@ def adamw_step(params: list[ParamEntry], grads, state: OptimState, lr: float) ->
     for e, g in zip(params, gs):
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient for parameter {e.name}")
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
@@ -94,7 +81,7 @@ def adamw_step(params: list[ParamEntry], grads, state: OptimState, lr: float) ->
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -215,23 +202,18 @@ class TrainResult:
 
 
 def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
-          seed: int, *, lr: float = 6e-5, power: float = 1.0,
-          warmup_iters: int = 0, warmup_ratio: float = 0.1,
-          weight_decay: float = 0.01, crop: int = 128,
-          val_set: list[SegSample] | None = None, eval_interval: int = 250,
-          checkpoint_interval: int = 500, checkpoint_fn=None,
-          log_fn=None) -> TrainResult:
+          seed: int, *, val_set: list[SegSample] | None = None, checkpoint_fn=None,
+          log_fn=None, **hyper) -> TrainResult:
     """Deterministic training loop; returns the model and the metric lines.
 
-    Metric lines are tab-separated: iteration, loss, lr, and mIoU on eval
-    iterations. ``checkpoint_fn(model, optim, tag)`` is called at the start,
-    every checkpoint_interval iterations, and at the end. A non-finite loss
-    aborts with TrainingDiverged; the last checkpoint stays on disk.
+    ``iters``, ``batch`` and ``hyper`` are ``TrainParams`` fields, defaulted
+    and checked there. Metric lines are tab-separated: iteration, loss, lr,
+    and mIoU on eval iterations. ``checkpoint_fn(model, optim, tag)`` is
+    called at the start, every checkpoint_interval iterations, and at the
+    end. A non-finite loss aborts with TrainingDiverged; the last checkpoint
+    stays on disk.
     """
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    tp = TrainParams(iters=iters, batch=batch, **hyper)
     if not train_set:
         raise ValueError("training set is empty")
     ss = _run_streams(seed)
@@ -242,7 +224,7 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
 
     model = build_model(cfg, model_seed)
     params = model.parameters()
-    optim = init_optim(params, weight_decay=weight_decay)
+    optim = init_optim(params, tp.weight_decay)
     metrics: list[str] = []
     final_miou: IouResult | None = None
 
@@ -255,21 +237,17 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
         if checkpoint_fn is not None:
             checkpoint_fn(model, optim, tag)
 
-    if iters == 0:
-        save("final")
-        return TrainResult(model, optim, metrics, None)
-
-    sched = LrSchedule(lr, iters, power, warmup_iters, warmup_ratio)
-    save("init")
+    if iters:
+        save("init")
     for it in range(iters):
         idx = rng_order.integers(0, len(train_set), size=batch)
-        images = np.empty((batch, 3, crop, crop), dtype=np.float32)
-        labels = np.empty((batch, crop, crop), dtype=np.int64)
+        images = np.empty((batch, 3, tp.crop, tp.crop), dtype=np.float32)
+        labels = np.empty((batch, tp.crop, tp.crop), dtype=np.int64)
         for bi, j in enumerate(idx):
-            s = augment(train_set[int(j)], rng_aug, crop)
+            s = augment(train_set[int(j)], rng_aug, tp.crop)
             images[bi] = s.image.data[0]
             labels[bi] = s.label
-        step_lr = poly_lr(it, sched)
+        step_lr = poly_lr(it, tp)
         with GradTape() as tape:
             logits = model.forward(Tensor(images), training=True, rng=rng_drop)
             loss = cross_entropy(logits, labels)
@@ -281,13 +259,13 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
 
         line = f"{it}\t{loss_val:.6f}\t{step_lr:.8f}"
         done = it + 1 == iters
-        if val_set and (done or (eval_interval and (it + 1) % eval_interval == 0)):
+        if val_set and (done or (tp.eval_interval and (it + 1) % tp.eval_interval == 0)):
             result = evaluate(model, val_set, cfg.num_classes)
             line += f"\t{result.mean:.4f}"
             if done:
                 final_miou = result
         emit(line)
-        if checkpoint_interval and (it + 1) % checkpoint_interval == 0 and not done:
+        if tp.checkpoint_interval and (it + 1) % tp.checkpoint_interval == 0 and not done:
             save(f"iter{it + 1}")
     save("final")
     return TrainResult(model, optim, metrics, final_miou)

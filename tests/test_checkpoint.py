@@ -75,8 +75,6 @@ class TestRoundTrip:
         got = load_checkpoint(path).optim
         assert got is not None
         assert got.t == optim.t
-        assert got.betas == optim.betas
-        assert got.eps == optim.eps
         assert got.weight_decay == optim.weight_decay
         for name in optim.m:
             np.testing.assert_array_equal(got.m[name], optim.m[name])
@@ -228,6 +226,37 @@ class TestIntegrity:
         body = raw[:20] + struct.pack("<I", len(cfg)) + cfg + raw[24 + cfg_len:-4]
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(CheckpointError, match="too large to build"):
+            load_checkpoint(path)
+
+    def test_config_with_out_of_range_train_value_rejected(self, model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[20:24])
+        cfg = raw[24:24 + cfg_len]
+        assert b"\nlr = 6e-05\n" in cfg
+        cfg = cfg.replace(b"\nlr = 6e-05\n", b"\nlr = -1\n")
+        body = raw[:20] + struct.pack("<I", len(cfg)) + cfg + raw[24 + cfg_len:-4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(CheckpointError, match="lr must be positive"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("slot,value", [(0, 0.8), (1, 0.99), (2, 1e-6)],
+                             ids=["beta1", "beta2", "eps"])
+    def test_other_adam_constants_under_valid_crc_rejected(self, model, tmp_path,
+                                                           slot, value):
+        # The optimizer header (t, beta1, beta2, eps, weight decay, reserved)
+        # precedes the two float32 moments of every parameter.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path, optim=stepped_optimizer(model, steps=1))
+        raw = bytearray(path.read_bytes())
+        header = len(raw) - 4 - 8 * count_params(model) - struct.calcsize("<Qddddd")
+        at = header + 8 + 8 * slot
+        assert struct.unpack("<Qddd", raw[header:header + 32])[1:] == (0.9, 0.999, 1e-8)
+        raw[at:at + 8] = struct.pack("<d", value)
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="Adam betas and eps"):
             load_checkpoint(path)
 
     def test_magic_bytes_lead_the_file(self, model, tmp_path):

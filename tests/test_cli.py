@@ -1,5 +1,7 @@
 """Command-line surface: every subcommand, exit codes, and the one-line
 error contract."""
+import re
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,24 @@ class TestTrainEvalInfer:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "num_classes" in err
+
+    @pytest.mark.parametrize("key,lines", [("lr", "crop = 32\nlr = -1"), ("crop", "crop = 16")],
+                             ids=["lr", "crop"])
+    def test_rejected_train_value_leaves_run_directory_alone(self, tmp_path, capsys,
+                                                             key, lines):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MICRO_CFG.format(out=tmp_path / "out").replace(
+            "crop = 32\n", f"{lines}\n"))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        log = b"0\t1.098612\t0.00006000\n"
+        (out_dir / "metrics.log").write_bytes(log)
+        code, out, err = run(capsys, "train", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(rf"\b{key}\b", err), err
+        assert (out_dir / "metrics.log").read_bytes() == log
+        assert list(out_dir.glob("*.ckpt")) == []
 
 
 class TestBenchAblate:

@@ -182,6 +182,32 @@ class TestErrors:
             parse_config("[model]\nmodel = mscan-t\ndecoder_variant = z\n")
 
 
+# One out-of-range value per checked [train] key: the four checks that the
+# lr schedule made (lr, warmup_iters, warmup_ratio), the two that train()
+# made (iters, batch), and a crop below the encoder's minimum input.
+BAD_TRAIN = [("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("warmup_iters", -1),
+             ("warmup_ratio", 0.0), ("warmup_ratio", 1.5), ("iters", -1),
+             ("batch", 0), ("crop", 31), ("crop", 16)]
+
+
+class TestTrainParamsChecks:
+    @pytest.mark.parametrize("key,value", BAD_TRAIN, ids=[f"{k}={v}" for k, v in BAD_TRAIN])
+    def test_out_of_range_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must"):
+            TrainParams(**{key: value})
+        with pytest.raises(ConfigError, match=rf"^{key} must"):
+            parse_config(f"[train]\n{key} = {value}\n")
+
+    def test_config_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            TrainParams(lr=-1.0)
+
+    def test_edges_of_the_ranges_accepted(self):
+        tp = TrainParams(iters=0, batch=1, crop=32, warmup_iters=0, warmup_ratio=1.0,
+                         lr=1e-12)
+        assert parse_config(serialize_config(RunConfig(preset("mscan-t"), tp))).train == tp
+
+
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):
         rc = parse_config(

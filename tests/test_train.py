@@ -2,7 +2,7 @@
 contracts, checked against scalar oracles."""
 import importlib
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from segnext import ops
+from segnext.config import TrainParams
 from segnext.data import SegSample, synth_dataset
 from segnext.encoder import preset
 from segnext.model import ParamEntry, build_model
 from segnext.tensor import GradTape, Tensor, backward
-from segnext.train import (IouResult, LrSchedule, OptimState, TrainingDiverged,
+from segnext.train import (IouResult, OptimState, TrainingDiverged,
                            adamw_step, confusion, cross_entropy, data_seeds,
                            evaluate, _argmax_classes, init_optim, miou,
                            ms_flip_inference, poly_lr, predict, train)
@@ -42,45 +43,42 @@ def scalar_param(name, value, decay):
 
 class TestPolyLr:
     def test_reference_points(self):
-        s = LrSchedule(base_lr=6e-5, max_iter=1000)
+        s = TrainParams(lr=6e-5, iters=1000)
         assert poly_lr(0, s) == 6e-5
         assert poly_lr(1000, s) == 0.0
         assert poly_lr(500, s) == pytest.approx(3e-5, rel=1e-12)
 
     def test_power_bends_the_curve(self):
-        s = LrSchedule(base_lr=1.0, max_iter=100, power=2.0)
+        s = TrainParams(lr=1.0, iters=100, power=2.0)
         assert poly_lr(50, s) == pytest.approx(0.25, rel=1e-12)
 
     def test_warmup_is_linear_from_ratio(self):
-        s = LrSchedule(base_lr=1.0, max_iter=100, warmup_iters=10, warmup_ratio=0.1)
+        s = TrainParams(lr=1.0, iters=100, warmup_iters=10, warmup_ratio=0.1)
         assert poly_lr(0, s) == pytest.approx(0.1)
         assert poly_lr(5, s) == pytest.approx(0.1 + 0.9 * 0.5)
         # first post-warmup point follows the poly curve
         assert poly_lr(10, s) == pytest.approx(0.9)
 
     def test_out_of_range_iteration_rejected(self):
-        s = LrSchedule(base_lr=1.0, max_iter=100)
+        s = TrainParams(lr=1.0, iters=100)
         with pytest.raises(ValueError):
             poly_lr(-1, s)
         with pytest.raises(ValueError):
             poly_lr(101, s)
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            LrSchedule(base_lr=0.0, max_iter=10)
-        with pytest.raises(ValueError):
-            LrSchedule(base_lr=1.0, max_iter=0)
-        with pytest.raises(ValueError):
-            LrSchedule(base_lr=1.0, max_iter=10, warmup_iters=-1)
-        with pytest.raises(ValueError):
-            LrSchedule(base_lr=1.0, max_iter=10, warmup_ratio=0.0)
+    @pytest.mark.parametrize("warmup", [0, 5])
+    def test_zero_iters_has_no_schedule(self, warmup):
+        # A valid run of 0 iterations, but no lr to give: ValueError, not a
+        # ZeroDivisionError and not the warmup's value.
+        with pytest.raises(ValueError, match="iters >= 1"):
+            poly_lr(0, TrainParams(lr=1.0, iters=0, warmup_iters=warmup))
 
     @given(st.floats(1e-8, 1.0), st.integers(1, 5000), st.floats(0.1, 4.0),
            st.integers(0, 100))
     @settings(max_examples=60, deadline=None)
     def test_non_increasing_after_warmup(self, base, max_iter, power, warmup):
         warmup = min(warmup, max_iter - 1) if max_iter > 1 else 0
-        s = LrSchedule(base, max_iter, power, warmup_iters=warmup)
+        s = TrainParams(lr=base, iters=max_iter, power=power, warmup_iters=warmup)
         vals = [poly_lr(i, s) for i in range(warmup, max_iter + 1)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 0.0
@@ -527,6 +525,16 @@ class TestTrainLoop:
             train(MICRO, self.small_set(), iters=1, batch=0, seed=0)
         with pytest.raises(ValueError):
             train(MICRO, [], iters=1, batch=1, seed=0)
+
+    def test_keywords_are_exactly_the_train_params_fields(self):
+        # The command line passes every [train] value as a keyword.
+        rest = {f.name: getattr(TrainParams(), f.name) for f in fields(TrainParams)
+                if f.name not in ("iters", "batch")}
+        rest["weight_decay"] = 0.05
+        res = train(MICRO, self.small_set(), iters=0, batch=3, seed=0, **rest)
+        assert res.optim.weight_decay == 0.05
+        with pytest.raises(TypeError, match="max_iter"):
+            train(MICRO, self.small_set(), iters=0, batch=3, seed=0, max_iter=5)
 
 
 class TestEvaluate:
