@@ -7,7 +7,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import DataParams, RunConfig, TrainParams, parse_config, serialize_config
 from .data import SegSample, augment, synth_dataset, target_mix
 from .decoder import nmf_factorize, nmf_reconstruct
-from .encoder import ConfigError, ModelConfig, StageConfig, preset
+from .encoder import ConfigError, ModelConfig, preset
 from .imagefile import ImageFormatError, read_pgm, read_ppm, write_pgm, write_ppm
 from .model import ImageClassifier, SegModel, build_classifier, build_model
 from .tensor import GradTape, Gradients, GraphError, ShapeError, Tensor, backward
@@ -23,7 +23,7 @@ __all__ = [
     "DataParams", "RunConfig", "TrainParams", "parse_config", "serialize_config",
     "SegSample", "augment", "synth_dataset", "target_mix",
     "nmf_factorize", "nmf_reconstruct",
-    "ConfigError", "ModelConfig", "StageConfig", "preset",
+    "ConfigError", "ModelConfig", "preset",
     "ImageFormatError", "read_pgm", "read_ppm", "write_pgm", "write_ppm",
     "ImageClassifier", "SegModel", "build_classifier", "build_model",
     "GradTape", "Gradients", "GraphError", "ShapeError", "Tensor", "backward",

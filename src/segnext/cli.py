@@ -84,14 +84,14 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _run_training(rc: RunConfig, tag_prefix: str = "checkpoint") -> int:
+def _run_training(rc: RunConfig) -> int:
     train_set, val_set = _datasets(rc)
     os.makedirs(rc.out_dir, exist_ok=True)
     log_path = os.path.join(rc.out_dir, "metrics.log")
     log_fh = open(log_path, "w", encoding="utf-8")
 
     def checkpoint_fn(model, optim, tag):
-        path = os.path.join(rc.out_dir, f"{tag_prefix}_{tag}.ckpt")
+        path = os.path.join(rc.out_dir, f"checkpoint_{tag}.ckpt")
         save_checkpoint(model, path, optim=optim, run_cfg=rc)
 
     def log_fn(line):

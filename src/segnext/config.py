@@ -2,10 +2,11 @@
 pairs, strictly validated with line numbers in every error."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, get_type_hints
 
-from .encoder import MIN_INPUT_SIZE, ConfigError, ModelConfig, PRESETS, StageConfig, preset
+from .encoder import MIN_INPUT_SIZE, ConfigError, ModelConfig, PRESETS, preset
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,21 @@ class TrainParams:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if self.crop < MIN_INPUT_SIZE:
             raise ConfigError(f"crop must be >= {MIN_INPUT_SIZE}, got {self.crop}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not (self.power > 0 and math.isfinite(self.power)):
+            raise ConfigError(f"power must be positive and finite, got {self.power}")
         if self.warmup_iters < 0:
             raise ConfigError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
         if not 0.0 < self.warmup_ratio <= 1.0:
             raise ConfigError(f"warmup_ratio must be in (0, 1], got {self.warmup_ratio}")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if self.eval_interval < 0:
+            raise ConfigError(f"eval_interval must be >= 0, got {self.eval_interval}")
+        if self.checkpoint_interval < 0:
+            raise ConfigError(
+                f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,14 @@ class DataParams:
     size: int = 128
     num_train: int = 64
     num_val: int = 8
+
+    def __post_init__(self):
+        if self.size < 64:
+            raise ConfigError(f"size must be >= 64, got {self.size}")
+        if self.num_train < 1:
+            raise ConfigError(f"num_train must be >= 1, got {self.num_train}")
+        if self.num_val < 1:
+            raise ConfigError(f"num_val must be >= 1, got {self.num_val}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +92,10 @@ def _parse_preset(s: str) -> str:
     return s
 
 
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
-# Fields that are not keys: the stages are written as the three lists below,
-# and RunConfig's other sections are classes of their own.
-_NOT_KEYS = frozenset({"stages", "model", "train", "data"})
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool,
+            tuple[int, int, int, int]: _parse_int_list}
+# RunConfig's other sections are classes of their own, not keys.
+_NOT_KEYS = frozenset({"model", "train", "data"})
 _RENAMED = {"include_stage1_in_decoder": "include_stage1"}
 
 
@@ -96,11 +114,9 @@ def _scalar_keys(cls) -> dict[str, tuple[str, Callable[[str], object]]]:
     return keys
 
 
-# The stage lists are ModelConfig properties, so they are written like fields.
-_LISTS = {k: (k, _parse_int_list) for k in ("channels", "depths", "expansions")}
 # section -> its keys, in the order they are written.
 _WRITTEN = {
-    "model": {**_LISTS, **_scalar_keys(ModelConfig)},
+    "model": _scalar_keys(ModelConfig),
     "train": _scalar_keys(TrainParams),
     "data": _scalar_keys(DataParams),
     "run": _scalar_keys(RunConfig),
@@ -150,17 +166,12 @@ def parse_config(text: str) -> RunConfig:
 def _assemble(values: dict[str, dict[str, object]]) -> RunConfig:
     model = values["model"]
     preset_name = model.pop("model", None)
-    lists = [model.pop(k) for k in _LISTS if k in model]
+    # A custom model is mscan-t's decoder on all three given stage lists.
+    lists = {"channels", "depths", "expansions"} & model.keys()
     if lists and preset_name is not None:
         raise ConfigError("channels/depths/expansions cannot be combined with a model preset")
-    if lists and len(lists) != len(_LISTS):
+    if 0 < len(lists) < 3:
         raise ConfigError("custom models need all of channels, depths, and expansions")
-    if len({len(v) for v in lists}) > 1:
-        raise ConfigError("channels, depths and expansions must have equal lengths, got "
-                          + ", ".join(str(len(v)) for v in lists))
-    if lists:
-        # A custom model is mscan-t's decoder on the given stages.
-        model["stages"] = tuple(StageConfig(*s) for s in zip(*lists))
     base = preset(preset_name or "mscan-t")
     model_cfg = replace(base, **model) if model else base
     return RunConfig(model_cfg, TrainParams(**values["train"]),

@@ -8,7 +8,7 @@ configured channel counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +35,13 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class StageConfig:
-    channels: int
-    depth: int
-    expansion: int
-
-    def __post_init__(self):
-        if self.channels < 2:
-            raise ConfigError(f"stage channels must be >= 2, got {self.channels}")
-        if self.depth < 1:
-            raise ConfigError(f"stage depth must be >= 1, got {self.depth}")
-        if self.expansion < 1:
-            raise ConfigError(f"stage expansion must be >= 1, got {self.expansion}")
-
-
-@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture description: encoder stages plus decoder settings."""
+    """Architecture description: the per-stage channels, depths and MLP
+    expansions of the encoder, plus decoder settings."""
 
-    stages: tuple[StageConfig, StageConfig, StageConfig, StageConfig]
+    channels: tuple[int, int, int, int]
+    depths: tuple[int, int, int, int]
+    expansions: tuple[int, int, int, int]
     decoder_dim: int
     num_classes: int
     decoder_variant: str = "c"
@@ -64,8 +52,12 @@ class ModelConfig:
     drop_path: float = 0.0
 
     def __post_init__(self):
-        if len(self.stages) != 4:
-            raise ConfigError(f"exactly 4 stages required, got {len(self.stages)}")
+        for key, least in (("channels", 2), ("depths", 1), ("expansions", 1)):
+            values = getattr(self, key)
+            if len(values) != 4:
+                raise ConfigError(f"{key} must have 4 values, got {len(values)}")
+            if min(values) < least:
+                raise ConfigError(f"{key} must all be >= {least}, got {values}")
         if self.decoder_dim < 1:
             raise ConfigError(f"decoder_dim must be >= 1, got {self.decoder_dim}")
         if self.num_classes < 2:
@@ -81,36 +73,20 @@ class ModelConfig:
         if not 0.0 <= self.drop_path < 1.0:
             raise ConfigError(f"drop_path must be in [0, 1), got {self.drop_path}")
 
-    @property
-    def channels(self) -> tuple[int, int, int, int]:
-        return tuple(s.channels for s in self.stages)  # type: ignore[return-value]
-
-    @property
-    def depths(self) -> tuple[int, int, int, int]:
-        return tuple(s.depth for s in self.stages)  # type: ignore[return-value]
-
-    @property
-    def expansions(self) -> tuple[int, int, int, int]:
-        return tuple(s.expansion for s in self.stages)  # type: ignore[return-value]
-
-
-def _cfg(channels, depths, expansions, decoder_dim, ham_rank, num_classes=150) -> ModelConfig:
-    stages = tuple(
-        StageConfig(c, d, e) for c, d, e in zip(channels, depths, expansions)
-    )
-    return ModelConfig(
-        stages=stages, decoder_dim=decoder_dim, num_classes=num_classes, ham_rank=ham_rank
-    )
-
 
 # Canonical sizes. The rank of the decoder's factorization scales with the
 # decoder width (decoder_dim / 4).
 PRESETS: dict[str, ModelConfig] = {
-    "mscan-t": _cfg((32, 64, 160, 256), (3, 3, 5, 2), (8, 8, 4, 4), 256, 64),
-    "mscan-s": _cfg((64, 128, 320, 512), (2, 2, 4, 2), (8, 8, 4, 4), 256, 64),
-    "mscan-b": _cfg((64, 128, 320, 512), (3, 3, 12, 3), (8, 8, 4, 4), 512, 128),
-    "mscan-l": _cfg((64, 128, 320, 512), (3, 5, 27, 3), (8, 8, 4, 4), 1024, 256),
-    "mscan-micro": _cfg((8, 16, 32, 64), (1, 1, 1, 1), (8, 8, 4, 4), 64, 16, num_classes=3),
+    "mscan-t": ModelConfig((32, 64, 160, 256), (3, 3, 5, 2), (8, 8, 4, 4),
+                           decoder_dim=256, num_classes=150, ham_rank=64),
+    "mscan-s": ModelConfig((64, 128, 320, 512), (2, 2, 4, 2), (8, 8, 4, 4),
+                           decoder_dim=256, num_classes=150, ham_rank=64),
+    "mscan-b": ModelConfig((64, 128, 320, 512), (3, 3, 12, 3), (8, 8, 4, 4),
+                           decoder_dim=512, num_classes=150, ham_rank=128),
+    "mscan-l": ModelConfig((64, 128, 320, 512), (3, 5, 27, 3), (8, 8, 4, 4),
+                           decoder_dim=1024, num_classes=150, ham_rank=256),
+    "mscan-micro": ModelConfig((8, 16, 32, 64), (1, 1, 1, 1), (8, 8, 4, 4),
+                               decoder_dim=64, num_classes=3, ham_rank=16),
 }
 for _size in ("t", "s", "b", "l", "micro"):
     PRESETS[f"segnext-{_size}"] = PRESETS[f"mscan-{_size}"]
@@ -168,20 +144,20 @@ def build_encoder(cfg: ModelConfig, seed: int, dtype=np.float32, init: bool = Tr
     rng = np.random.default_rng(np.random.SeedSequence(seed)) if init else None
     stages: list[Stage] = []
     prev = 3
-    for i, sc in enumerate(cfg.stages):
+    for i, (c, depth, e) in enumerate(zip(cfg.channels, cfg.depths, cfg.expansions)):
         # The stem runs two stride-2 convs, the first to half the stage
         # width; later stages downsample once.
-        widths = [prev, sc.channels // 2, sc.channels] if i == 0 else [prev, sc.channels]
+        widths = [prev, c // 2, c] if i == 0 else [prev, c]
         down = [
             DownsampleLayer(make_conv(rng, _down_spec(a, b), dtype), make_norm(b, dtype))
             for a, b in zip(widths, widths[1:])
         ]
         blocks = [
-            make_block(rng, sc.channels, sc.expansion, multi_scale=cfg.use_msca, dtype=dtype)
-            for _ in range(sc.depth)
+            make_block(rng, c, e, multi_scale=cfg.use_msca, dtype=dtype)
+            for _ in range(depth)
         ]
         stages.append(Stage(down, blocks))
-        prev = sc.channels
+        prev = c
     return Encoder(cfg, stages)
 
 

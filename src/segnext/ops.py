@@ -766,15 +766,6 @@ def mean_all(x: Tensor) -> Tensor:
     return record(out, (x,), bwd)
 
 
-def _plane_reduce(z: np.ndarray, fn) -> np.ndarray:
-    """``fn`` folded over the class planes of ``z`` (N, K, H, W), in place
-    in one (N, H, W) array: plane 0, then 1, and so on."""
-    acc = z[:, 0].copy()
-    for c in range(1, z.shape[1]):
-        fn(acc, z[:, c], out=acc)
-    return acc
-
-
 def _label_index(labels: np.ndarray, k: int):
     """Yield, image by image, the flat index into its (K, H, W) logits of
     each pixel's labelled logit. An ignored pixel indexes a class in range,
@@ -814,16 +805,14 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         )
 
     # One logits-sized array: the shifted logits, exponentiated in place and
-    # kept, with their sums, for the backward. The max and the sums are
-    # in-place loops over the K class planes, in the order numpy reduces the
-    # class axis, so the loss keeps the bits of the whole-array formula.
+    # kept, with their sums, for the backward.
     z = logits.data
-    ez = z - _plane_reduce(z, np.maximum)[:, None]
+    ez = z - z.max(axis=1, keepdims=True)
     picked = np.empty((n, h, w), z.dtype)  # the labelled shifted logit
     for i, idx in enumerate(_label_index(labels, k)):
         np.take(ez[i].reshape(-1), idx, out=picked[i].reshape(-1))
     np.exp(ez, out=ez)
-    denom = _plane_reduce(ez, np.add)
+    denom = ez.sum(axis=1)
     picked -= np.log(denom)
     picked *= valid
     loss_val = -picked.sum(dtype=z.dtype) / z.dtype.type(m)

@@ -61,8 +61,10 @@ def adamw_step(params: list[ParamEntry], grads, state: OptimState, lr: float) ->
     and applies only to entries flagged for decay (conv and linear weights,
     not norms, biases, or layer scales).
     """
-    # Validate every gradient before touching any state, so a divergence
-    # leaves parameters, moments and the step counter as they were.
+    # Validate the rate and every gradient before touching any state, so a
+    # bad step leaves parameters, moments and the step counter as they were.
+    if not np.isfinite(lr):
+        raise ValueError(f"learning rate must be finite, got {lr}")
     gs = [grads.of(e.tensor) for e in params]
     for e, g in zip(params, gs):
         if not np.all(np.isfinite(g)):

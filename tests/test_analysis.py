@@ -8,7 +8,7 @@ import pytest
 from segnext import blocks, ops
 from segnext.analysis import CONVENTION, cost_report, count_flops, count_params
 from segnext.decoder import build_decoder
-from segnext.encoder import StageConfig, build_encoder, preset
+from segnext.encoder import build_encoder, preset
 from segnext.model import SegModel, build_model
 from segnext.tensor import CostSink, GradTape, Tensor
 
@@ -91,13 +91,14 @@ class TestGolden:
 
 class TestClosedForms:
     def test_conv_3to8_3x3_with_bias_has_224_params(self):
-        m = micro_model(stages=(StageConfig(16, 1, 8),) + MICRO.stages[1:])
+        m = micro_model(channels=(16,) + MICRO.channels[1:])
         down0 = rows(m, 64, 64)["encoder.stage1.down0.conv"]
         assert down0.params == 8 * 3 * 9 + 8 == 224
         assert down0.flops == 32 * 32 * 8 * 3 * 9
 
     def test_pointwise_4to8_on_16x16_costs_8192_units(self):
-        m = micro_model(stages=(StageConfig(4, 1, 2),) + MICRO.stages[1:])
+        m = micro_model(channels=(4,) + MICRO.channels[1:],
+                        expansions=(2,) + MICRO.expansions[1:])
         expand = rows(m, 64, 64)["encoder.stage1.block0.ffn_expand"]
         assert expand.flops == 4 * 8 * 256 == 8192
         assert expand.params == 4 * 8 + 8

@@ -228,17 +228,23 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="too large to build"):
             load_checkpoint(path)
 
-    def test_config_with_out_of_range_train_value_rejected(self, model, tmp_path):
+    @pytest.mark.parametrize("key,old,new,rule", [
+        ("lr", b"6e-05", b"-1", "positive"), ("power", b"1.0", b"nan", "positive"),
+        ("weight_decay", b"0.01", b"nan", ">= 0"), ("checkpoint_interval", b"500", b"-1", ">= 0"),
+    ], ids=["lr", "power", "weight_decay", "checkpoint_interval"])
+    def test_config_with_out_of_range_train_value_rejected(self, model, tmp_path,
+                                                           key, old, new, rule):
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         raw = path.read_bytes()
         (cfg_len,) = struct.unpack("<I", raw[20:24])
         cfg = raw[24:24 + cfg_len]
-        assert b"\nlr = 6e-05\n" in cfg
-        cfg = cfg.replace(b"\nlr = 6e-05\n", b"\nlr = -1\n")
+        line = b"\n" + key.encode() + b" = "
+        assert line + old + b"\n" in cfg
+        cfg = cfg.replace(line + old + b"\n", line + new + b"\n")
         body = raw[:20] + struct.pack("<I", len(cfg)) + cfg + raw[24 + cfg_len:-4]
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-        with pytest.raises(CheckpointError, match="lr must be positive"):
+        with pytest.raises(CheckpointError, match=f"not a valid config: {key} must be {rule}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("slot,value", [(0, 0.8), (1, 0.99), (2, 1e-6)],

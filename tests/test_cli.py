@@ -170,13 +170,17 @@ class TestTrainEvalInfer:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "num_classes" in err
 
-    @pytest.mark.parametrize("key,lines", [("lr", "crop = 32\nlr = -1"), ("crop", "crop = 16")],
-                             ids=["lr", "crop"])
+    @pytest.mark.parametrize("key,value", [("lr", "-1"), ("crop", "16"), ("power", "nan"),
+                                           ("weight_decay", "nan"),
+                                           ("checkpoint_interval", "-1")],
+                             ids=["lr", "crop", "power", "weight_decay", "checkpoint_interval"])
     def test_rejected_train_value_leaves_run_directory_alone(self, tmp_path, capsys,
-                                                             key, lines):
+                                                             key, value):
+        # The bad value replaces the key's line, if the config has one.
+        text = re.sub(rf"^{key} = .*\n", "", MICRO_CFG.format(out=tmp_path / "out"),
+                      flags=re.M)
         path = tmp_path / "bad.cfg"
-        path.write_text(MICRO_CFG.format(out=tmp_path / "out").replace(
-            "crop = 32\n", f"{lines}\n"))
+        path.write_text(text.replace("[train]\n", f"[train]\n{key} = {value}\n"))
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         log = b"0\t1.098612\t0.00006000\n"

@@ -136,10 +136,10 @@ class TestParse:
     def test_custom_model_lists_of_unequal_length_raise(self):
         # Five channels with four depths once parsed to a 4-stage model,
         # silently dropping the 128.
-        with pytest.raises(ConfigError, match="equal lengths, got 5, 4, 4"):
+        with pytest.raises(ConfigError, match="^channels must have 4 values, got 5"):
             parse_config("[model]\nchannels = 8,16,32,64,128\ndepths = 1,1,1,1\n"
                          "expansions = 2,2,2,2\n")
-        with pytest.raises(ConfigError, match="equal lengths, got 4, 4, 3"):
+        with pytest.raises(ConfigError, match="^expansions must have 4 values, got 3"):
             parse_config("[model]\nchannels = 8,16,32,64\ndepths = 1,1,1,1\n"
                          "expansions = 2,2,2\n")
 
@@ -182,12 +182,19 @@ class TestErrors:
             parse_config("[model]\nmodel = mscan-t\ndecoder_variant = z\n")
 
 
+NAN, INF = float("nan"), float("inf")
 # One out-of-range value per checked [train] key: the four checks that the
 # lr schedule made (lr, warmup_iters, warmup_ratio), the two that train()
-# made (iters, batch), and a crop below the encoder's minimum input.
-BAD_TRAIN = [("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("warmup_iters", -1),
+# made (iters, batch), a crop below the encoder's minimum input, and the
+# non-finite or negative rates, decay and intervals that training cannot use.
+BAD_TRAIN = [("lr", 0.0), ("lr", -1.0), ("lr", NAN), ("lr", INF), ("warmup_iters", -1),
              ("warmup_ratio", 0.0), ("warmup_ratio", 1.5), ("iters", -1),
-             ("batch", 0), ("crop", 31), ("crop", 16)]
+             ("batch", 0), ("crop", 31), ("crop", 16),
+             ("power", 0.0), ("power", -1.0), ("power", NAN), ("power", INF),
+             ("weight_decay", -0.01), ("weight_decay", NAN), ("weight_decay", INF),
+             ("eval_interval", -1), ("checkpoint_interval", -1)]
+# The synthetic dataset's own limits, one per [data] key.
+BAD_DATA = [("size", 63), ("num_train", 0), ("num_val", 0)]
 
 
 class TestTrainParamsChecks:
@@ -204,8 +211,19 @@ class TestTrainParamsChecks:
 
     def test_edges_of_the_ranges_accepted(self):
         tp = TrainParams(iters=0, batch=1, crop=32, warmup_iters=0, warmup_ratio=1.0,
-                         lr=1e-12)
-        assert parse_config(serialize_config(RunConfig(preset("mscan-t"), tp))).train == tp
+                         lr=1e-12, power=1e-12, weight_decay=0.0, eval_interval=0,
+                         checkpoint_interval=0)
+        rc = RunConfig(preset("mscan-t"), tp, DataParams(size=64, num_train=1, num_val=1))
+        assert parse_config(serialize_config(rc)) == rc
+
+
+class TestDataParamsChecks:
+    @pytest.mark.parametrize("key,value", BAD_DATA, ids=[f"{k}={v}" for k, v in BAD_DATA])
+    def test_out_of_range_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must"):
+            DataParams(**{key: value})
+        with pytest.raises(ConfigError, match=rf"^{key} must"):
+            parse_config(f"[data]\n{key} = {value}\n")
 
 
 class TestRoundTrip:
@@ -271,10 +289,8 @@ class TestKeysFromFields:
     def test_custom_model_keeps_mscan_t_decoder(self):
         rc = parse_config("[model]\nchannels = 8,16,32,64\ndepths = 1,1,1,1\n"
                           "expansions = 2,2,2,2\n")
-        t = preset("mscan-t")
-        assert rc.model == replace(t, stages=rc.model.stages)
-        assert rc.model.channels == (8, 16, 32, 64)
-        assert rc.model.expansions == (2, 2, 2, 2)
+        assert rc.model == replace(preset("mscan-t"), channels=(8, 16, 32, 64),
+                                   depths=(1, 1, 1, 1), expansions=(2, 2, 2, 2))
 
     def test_field_without_parser_raises(self):
         @dataclass(frozen=True)

@@ -5,13 +5,15 @@ import pytest
 
 from segnext import ops
 from segnext.encoder import (MIN_INPUT_SIZE, PRESETS, ConfigError, ModelConfig,
-                             StageConfig, build_encoder, encoder_forward,
-                             preset)
+                             build_encoder, encoder_forward, preset)
 from segnext.tensor import GradTape, ShapeError, Tensor, backward
 
 from test_blocks import collect_tensors, param_count
 
 MICRO = preset("mscan-micro")
+# A valid custom model for the validation tests to vary one field of.
+VALID = dict(channels=(8,) * 4, depths=(1,) * 4, expansions=(2,) * 4,
+             decoder_dim=16, num_classes=3, ham_rank=8)
 
 
 def micro_encoder(seed=0):
@@ -46,29 +48,27 @@ class TestConfig:
             preset("mscan-xxl")
 
     def test_stage_validation(self):
-        with pytest.raises(ConfigError):
-            StageConfig(channels=1, depth=1, expansion=1)
-        with pytest.raises(ConfigError):
-            StageConfig(channels=8, depth=0, expansion=1)
-        with pytest.raises(ConfigError):
-            StageConfig(channels=8, depth=1, expansion=0)
+        with pytest.raises(ConfigError, match="^channels must"):
+            ModelConfig(**{**VALID, "channels": (1, 8, 8, 8)})
+        with pytest.raises(ConfigError, match="^depths must"):
+            ModelConfig(**{**VALID, "depths": (1, 1, 0, 1)})
+        with pytest.raises(ConfigError, match="^expansions must"):
+            ModelConfig(**{**VALID, "expansions": (2, 2, 2, 0)})
 
     def test_model_validation(self):
-        stages = tuple(StageConfig(8, 1, 2) for _ in range(4))
-        ok = dict(stages=stages, decoder_dim=16, num_classes=3, ham_rank=8)
-        ModelConfig(**ok)
+        ModelConfig(**VALID)
+        with pytest.raises(ConfigError, match="^channels must have 4 values"):
+            ModelConfig(**{**VALID, "channels": (8,) * 3})
         with pytest.raises(ConfigError):
-            ModelConfig(**{**ok, "stages": stages[:3]})
+            ModelConfig(**{**VALID, "num_classes": 1})
         with pytest.raises(ConfigError):
-            ModelConfig(**{**ok, "num_classes": 1})
+            ModelConfig(**{**VALID, "decoder_variant": "d"})
         with pytest.raises(ConfigError):
-            ModelConfig(**{**ok, "decoder_variant": "d"})
+            ModelConfig(**{**VALID, "ham_rank": 17})  # above decoder_dim
         with pytest.raises(ConfigError):
-            ModelConfig(**{**ok, "ham_rank": 17})  # above decoder_dim
+            ModelConfig(**{**VALID, "ham_iters": 0})
         with pytest.raises(ConfigError):
-            ModelConfig(**{**ok, "ham_iters": 0})
-        with pytest.raises(ConfigError):
-            ModelConfig(**{**ok, "drop_path": 1.0})
+            ModelConfig(**{**VALID, "drop_path": 1.0})
 
 
 class TestForward:
@@ -146,11 +146,10 @@ class TestParams:
             return n + (spec.out_channels if spec.bias else 0)
 
         want = 0
-        for s, sc in zip(enc.stages, MICRO.stages):
+        for s, c, depth, e in zip(enc.stages, MICRO.channels, MICRO.depths, MICRO.expansions):
             for d in s.downsample:
                 want += conv_p(d.conv.spec) + 2 * d.conv.spec.out_channels
-            c, e = sc.channels, sc.expansion
-            want += sc.depth * ((3 + 2 * e) * c * c + (120 + 11 * e) * c)
+            want += depth * ((3 + 2 * e) * c * c + (120 + 11 * e) * c)
         assert total == want
 
     def test_gradient_reaches_every_parameter(self):

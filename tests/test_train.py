@@ -134,6 +134,18 @@ class TestAdamW:
                        state, lr=0.01)
         assert snapshot() == before
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lr_leaves_state_untouched(self, lr):
+        p = scalar_param("w", 1.0, decay=True)
+        state = init_optim([p])
+        g = np.full((1, 1, 1, 1), 0.3)
+        adamw_step([p], FakeGrads([(p.tensor, g)]), state, lr=0.01)
+        before = [a.tobytes() for a in (p.tensor.data, state.m["w"], state.v["w"])]
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            adamw_step([p], FakeGrads([(p.tensor, g)]), state, lr=lr)
+        assert [a.tobytes() for a in (p.tensor.data, state.m["w"], state.v["w"])] == before
+        assert state.t == 1
+
     def test_identical_runs_bitwise_identical(self):
         def run():
             rng = np.random.default_rng(0)
