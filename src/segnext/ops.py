@@ -461,32 +461,49 @@ def _horner(s: np.ndarray, coeffs: tuple, out: np.ndarray) -> None:
     np.add(out, coeffs[0], out=out)
 
 
-def _gelu_f32(x: np.ndarray, keep_phi: bool = True
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-    """GELU of float32 ``x`` and its Phi(x), Phi within 3e-7 of the exact value.
+def _phi_f32(x: np.ndarray, phi: np.ndarray, z: np.ndarray, s: np.ndarray,
+             q: np.ndarray) -> None:
+    """Phi of a float32 chunk ``x`` into ``phi``, within 3e-7 of the exact
+    value; ``z``, ``s`` and ``q`` are scratch of the chunk's size."""
+    np.clip(x, -_PHI_CLAMP, _PHI_CLAMP, out=z)
+    np.multiply(z, z, out=s)
+    _horner(s, _PHI_NUM, phi)
+    np.multiply(phi, z, out=phi)
+    _horner(s, _PHI_DEN, q)
+    np.divide(phi, q, out=phi)
+    np.add(phi, np.float32(0.5), out=phi)
+    np.clip(phi, 0, 1, out=phi)
 
-    With ``keep_phi`` false, each chunk's Phi overwrites its numerator in
-    scratch and None is returned in its place. Every step is elementwise IEEE
-    arithmetic, so the result does not depend on where the chunks fall.
+
+def _gelu_f32(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """GELU of float32 ``x``, or with ``g`` its backward ``g * (Phi + x * pdf)``.
+
+    Both run chunk by chunk on cache-sized scratch, so neither keeps Phi nor
+    allocates more than its output. Every step is elementwise IEEE
+    arithmetic, so the result does not depend on where the chunks fall, and
+    the backward rounds as ``g * (cdf + x * pdf)`` over a kept Phi does
+    (where two NaNs meet, numpy's loops may keep either payload).
     """
     flat = np.ascontiguousarray(x).reshape(-1)
+    gf = None if g is None else np.ascontiguousarray(g).reshape(-1)
     out = np.empty_like(flat)
-    z, s, p, q = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(4))
-    cdf = np.empty_like(flat) if keep_phi else None
+    phi, z, s, q = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(4))
     for lo in range(0, flat.size, _PHI_CHUNK):
         hi = min(lo + _PHI_CHUNK, flat.size)
-        zc, sc, pc, qc = z[:hi - lo], s[:hi - lo], p[:hi - lo], q[:hi - lo]
-        phi = cdf[lo:hi] if keep_phi else pc
-        np.clip(flat[lo:hi], -_PHI_CLAMP, _PHI_CLAMP, out=zc)
-        np.multiply(zc, zc, out=sc)
-        _horner(sc, _PHI_NUM, pc)
-        np.multiply(pc, zc, out=pc)
-        _horner(sc, _PHI_DEN, qc)
-        np.divide(pc, qc, out=phi)
-        np.add(phi, np.float32(0.5), out=phi)
-        np.clip(phi, 0, 1, out=phi)
-        np.multiply(flat[lo:hi], phi, out=out[lo:hi])
-    return out.reshape(x.shape), None if cdf is None else cdf.reshape(x.shape)
+        xc, pc, zc = flat[lo:hi], phi[:hi - lo], z[:hi - lo]
+        _phi_f32(xc, pc, zc, s[:hi - lo], q[:hi - lo])
+        if gf is None:
+            np.multiply(xc, pc, out=out[lo:hi])
+            continue
+        # pdf = exp(-0.5 * x * x) / sqrt(2 pi) into the scratch z.
+        np.multiply(-0.5, xc, out=zc)
+        np.multiply(zc, xc, out=zc)
+        np.exp(zc, out=zc)
+        np.multiply(zc, _INV_SQRT_2PI, out=zc)
+        np.multiply(xc, zc, out=zc)
+        np.add(pc, zc, out=zc)
+        np.multiply(gf[lo:hi], zc, out=out[lo:hi])
+    return out.reshape(x.shape)
 
 
 # Cephes' float64 erf, the one scipy.special.erf runs, with coefficients in
@@ -534,21 +551,22 @@ def _erf_f64(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU: x * Phi(x). float32 takes Phi from a rational erf,
-    float64 from cephes' erf. float32 keeps Phi only when a tape will read
-    it."""
+    """Exact-erf GELU: x * Phi(x). float32 takes Phi from a rational erf and
+    recomputes it in the backward; float64 takes Phi from cephes' erf."""
     _charge((x,), _per_image(x))
     xd = x.data
     if xd.dtype == np.float32:
-        y, cdf = _gelu_f32(xd, keep_phi=grad_relevant(x))
+        out = Tensor(_gelu_f32(xd))
+
+        def bwd(g: np.ndarray):
+            return (_gelu_f32(xd, g),)
     else:
         cdf = 0.5 * (1.0 + _erf_f64(xd * _INV_SQRT2))
-        y = xd * cdf
-    out = Tensor(y)
+        out = Tensor(xd * cdf)
 
-    def bwd(g: np.ndarray):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (cdf + xd * pdf),)
+        def bwd(g: np.ndarray):
+            pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
+            return (g * (cdf + xd * pdf),)
 
     return record(out, (x,), bwd)
 
@@ -700,7 +718,7 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
     bounds = np.cumsum([0] + sizes)
 
     def bwd(g: np.ndarray):
-        return tuple(g[:, bounds[i] : bounds[i + 1]] for i in range(len(parts)))
+        return tuple(g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     return record(out, tuple(parts), bwd)
 
@@ -749,9 +767,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1))
+    shape, dtype = x.shape, x.dtype  # the adjoint keeps no reference to x
 
     def bwd(g: np.ndarray):
-        return (np.full(x.shape, g.reshape(()), dtype=x.dtype),)
+        return (np.full(shape, g.reshape(()), dtype=dtype),)
 
     return record(out, (x,), bwd)
 
@@ -759,9 +778,10 @@ def sum_all(x: Tensor) -> Tensor:
 def mean_all(x: Tensor) -> Tensor:
     inv = 1.0 / x.size
     out = Tensor((x.data.sum(dtype=x.dtype) * inv).reshape(1, 1, 1, 1))
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g: np.ndarray):
-        return (np.full(x.shape, g.reshape(()) * inv, dtype=x.dtype),)
+        return (np.full(shape, g.reshape(()) * inv, dtype=dtype),)
 
     return record(out, (x,), bwd)
 

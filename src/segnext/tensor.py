@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,9 +31,12 @@ class Tensor:
     Vector-like learnable values (biases, norm scales, layer scales) are
     carried as shape (1, C, 1, 1) so that every value in the system is
     the same 4-D type.
+
+    An op output recorded on a tape carries that tape's key for it in
+    ``_key``; any other tensor has None there.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -42,6 +46,7 @@ class Tensor:
             raise ShapeError(f"tensor must be 4-D (N, C, H, W), got {arr.ndim}-D shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
+        self._key: _Key | None = None
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -65,10 +70,14 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}{grad})"
 
 
-# A node remembers the op's output and inputs (strong references, so object
-# identity stays unique for the life of the tape) plus a closure that maps the
-# output adjoint to one adjoint per input (None where an input needs none).
+# A node holds keys, not tensors: the output's key, one key per input (None
+# for a constant) and a closure that maps the output adjoint to one adjoint
+# per input (None where an input needs none). An output's key is its tape's
+# serial number and its node index; a leaf's key is its id. So a tensor stays
+# alive only while forward code or an adjoint closure holds it.
 _BackwardFn = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
+_Key = tuple[int, int] | int
+_SERIALS = count()
 
 # Context variables, so that a forward pass in another thread (or task) is
 # neither recorded on this tape nor charged to this cost sink.
@@ -91,8 +100,12 @@ class GradTape:
     """
 
     def __init__(self) -> None:
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
-        self._relevant: set[int] = set()
+        self._nodes: list[tuple[_Key, tuple[_Key | None, ...], _BackwardFn]] = []
+        self._serial = next(_SERIALS)
+        # The leaves read so far, held so that their ids, which key their
+        # adjoints, stay unique while the tape lives. They are parameters or
+        # caller-held inputs, so this keeps no activation alive.
+        self._leaves: dict[int, Tensor] = {}
         self._recorded = 0  # nodes ever recorded; backward empties _nodes
         self._released = False
 
@@ -109,17 +122,24 @@ class GradTape:
         return self._recorded
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: _BackwardFn) -> None:
-        self._nodes.append((out, inputs, backward_fn))
+        keys = []
+        for t in inputs:
+            if t.requires_grad:
+                self._leaves[id(t)] = t
+                keys.append(id(t))
+            else:
+                keys.append(t._key if self._relevant(t) else None)
+        out._key = (self._serial, self._recorded)
+        self._nodes.append((out._key, tuple(keys), backward_fn))
         self._recorded += 1
-        self._relevant.add(id(out))
+
+    def _relevant(self, t: Tensor) -> bool:
+        """Whether ``t`` is a leaf or an output recorded on this tape."""
+        return t.requires_grad or (t._key is not None and t._key[0] == self._serial)
 
     def _wants(self, inputs: Iterable[Tensor]) -> bool:
         """Whether an op over these inputs can influence any gradient."""
-        rel = self._relevant
-        for t in inputs:
-            if t.requires_grad or id(t) in rel:
-                return True
-        return False
+        return any(self._relevant(t) for t in inputs)
 
 
 def record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: _BackwardFn) -> Tensor:
@@ -147,7 +167,7 @@ def grad_relevant(t: Tensor) -> bool:
     if t.requires_grad:
         return True
     tape = _ACTIVE_TAPE.get()
-    return tape is not None and id(t) in tape._relevant
+    return tape is not None and tape._relevant(t)
 
 
 class CostSink:
@@ -223,9 +243,10 @@ def backward(tape: GradTape, loss: Tensor) -> Gradients:
     """Replay the tape in exact reverse order, accumulating adjoints.
 
     A tensor consumed k times receives the sum of its k adjoint
-    contributions. Each node (its output, inputs and adjoint closure) is
-    taken off the tape as its adjoint runs, so memory falls as the replay
-    goes, and the tape cannot serve a second call.
+    contributions. Each node is taken off the tape as its adjoint runs, and
+    an intermediate's adjoint is dropped once its producer has read it, so
+    memory falls as the replay goes, and the tape cannot serve a second call.
+    Only the leaves' adjoints are returned.
     """
     if tape._released:
         raise GraphError("the tape was released by an earlier backward")
@@ -233,25 +254,21 @@ def backward(tape: GradTape, loss: Tensor) -> Gradients:
         raise GraphError("loss must be a Tensor")
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {tuple(loss.shape)}")
-    if id(loss) not in tape._relevant:
+    if loss._key is None or loss._key[0] != tape._serial:
         raise GraphError("loss was not produced by an operation recorded on this tape")
 
-    adjoints: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=loss.dtype)}
+    adjoints: dict[_Key, np.ndarray] = {loss._key: np.ones(loss.shape, dtype=loss.dtype)}
     tape._released = True
     nodes = tape._nodes
     while nodes:
-        out, inputs, backward_fn = nodes.pop()
-        out_adj = adjoints.get(id(out))
+        out_key, in_keys, backward_fn = nodes.pop()
+        # An output's adjoint is complete once its producer runs.
+        out_adj = adjoints.pop(out_key, None)
         if out_adj is None:
             continue  # not on the path from loss
-        for inp, grad in zip(inputs, backward_fn(out_adj)):
-            if grad is None:
+        for key, grad in zip(in_keys, backward_fn(out_adj)):
+            if grad is None or key is None:
                 continue
-            key = id(inp)
             prior = adjoints.get(key)
             adjoints[key] = grad if prior is None else prior + grad
-        if not out.requires_grad and id(out) != id(loss):
-            # Adjoints of produced intermediates are complete once their
-            # producer has run; drop them to bound peak memory.
-            del adjoints[id(out)]
     return Gradients(adjoints)

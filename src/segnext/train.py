@@ -17,7 +17,8 @@ from .tensor import GradTape, Tensor, backward
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss turns non-finite; the last checkpoint survives."""
+    """Raised when the loss, a gradient or a parameter turns non-finite; the
+    last checkpoint survives."""
 
 
 def poly_lr(i: int, tp: TrainParams) -> float:
@@ -212,7 +213,8 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
     and checked there. Metric lines are tab-separated: iteration, loss, lr,
     and mIoU on eval iterations. ``checkpoint_fn(model, optim, tag)`` is
     called at the start, every checkpoint_interval iterations, and at the
-    end. A non-finite loss aborts with TrainingDiverged; the last checkpoint
+    end. A non-finite loss, or a parameter left non-finite by an update,
+    aborts with TrainingDiverged before any later save; the last checkpoint
     stays on disk.
     """
     tp = TrainParams(iters=iters, batch=batch, **hyper)
@@ -239,25 +241,34 @@ def train(cfg: ModelConfig, train_set: list[SegSample], iters: int, batch: int,
         if checkpoint_fn is not None:
             checkpoint_fn(model, optim, tag)
 
+    # The loss node holds the batch labels, so they keep the set's own
+    # (8-bit for synth_dataset) type.
+    label_dtype = np.result_type(*{s.label.dtype for s in train_set})
     if iters:
         save("init")
     for it in range(iters):
         idx = rng_order.integers(0, len(train_set), size=batch)
         images = np.empty((batch, 3, tp.crop, tp.crop), dtype=np.float32)
-        labels = np.empty((batch, tp.crop, tp.crop), dtype=np.int64)
+        labels = np.empty((batch, tp.crop, tp.crop), dtype=label_dtype)
         for bi, j in enumerate(idx):
             s = augment(train_set[int(j)], rng_aug, tp.crop)
             images[bi] = s.image.data[0]
             labels[bi] = s.label
         step_lr = poly_lr(it, tp)
         with GradTape() as tape:
-            logits = model.forward(Tensor(images), training=True, rng=rng_drop)
-            loss = cross_entropy(logits, labels)
+            # No name holds the logits, which no adjoint reads, so they are
+            # freed before the backward.
+            loss = cross_entropy(model.forward(Tensor(images), training=True, rng=rng_drop),
+                                 labels)
         loss_val = float(loss.item())
         if not np.isfinite(loss_val):
             raise TrainingDiverged(f"loss became non-finite at iteration {it}")
         grads = backward(tape, loss)
         adamw_step(params, grads, optim, step_lr)
+        for e in params:
+            if not np.isfinite(e.tensor.data).all():
+                raise TrainingDiverged(
+                    f"parameter {e.name} became non-finite at iteration {it}")
 
         line = f"{it}\t{loss_val:.6f}\t{step_lr:.8f}"
         done = it + 1 == iters

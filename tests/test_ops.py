@@ -131,9 +131,9 @@ class TestBatchNorm:
         x = Tensor(np.random.default_rng(8).normal(size=(2, 3, 4, 4)), requires_grad=True)
         bn = make_bn(3)
         with GradTape() as tape:
-            ops.batchnorm2d(x, bn.gamma, bn.beta,
-                            bn.running_mean, bn.running_var, 1e-5, training, 0.1)
-        (out, _, bwd), = tape._nodes
+            out = ops.batchnorm2d(x, bn.gamma, bn.beta,
+                                  bn.running_mean, bn.running_var, 1e-5, training, 0.1)
+        (_, _, bwd), = tape._nodes
         held = [c.cell_contents for c in bwd.__closure__]
         held = [v.data if isinstance(v, Tensor) else v for v in held]
         big = [a for a in held if isinstance(a, np.ndarray) and a.size == x.size]
@@ -187,6 +187,13 @@ def _fp_class(v: np.float32) -> str:
     return sign + ("subnormal" if abs(v) < np.finfo(np.float32).smallest_normal else "normal")
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """The float32 GELU's Phi of flat ``x``, in one chunk."""
+    phi, *scratch = (np.empty_like(x) for _ in range(4))
+    ops._phi_f32(x, phi, *scratch)
+    return phi
+
+
 class TestActivations:
     def test_gelu_exact_values(self):
         x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]).reshape(1, 1, 1, 5)
@@ -203,13 +210,13 @@ class TestActivations:
         x = _float32_sweep()
         x = x[np.abs(x) < 20]
         want = 0.5 * special.erfc(-x.astype(np.float64) / np.sqrt(2))
-        assert np.abs(ops._gelu_f32(x)[1] - want).max() < 3e-7
+        assert np.abs(_phi(x) - want).max() < 3e-7
 
     def test_gelu_float32_phi_in_unit_interval(self):
         x = _float32_sweep()
         x = np.concatenate([x[~np.isnan(x)], np.float32([np.inf, -np.inf])])
         with np.errstate(invalid="ignore"):  # the GELU of -inf is NaN
-            phi = ops._gelu_f32(x)[1]
+            phi = _phi(x)
         assert phi.min() >= 0 and phi.max() <= 1
 
     def test_gelu_float32_special_values_match_scipy_classes(self):
@@ -246,10 +253,44 @@ class TestActivations:
         with GradTape():
             taped = ops.gelu(xt).data
         assert free.tobytes() == taped.tobytes()
-        assert ops._gelu_f32(x, keep_phi=False)[1] is None
+
+    def test_gelu_float32_node_keeps_no_phi(self):
+        # The backward recomputes Phi; the only input-sized array its
+        # closure may hold is x itself.
+        x = Tensor(np.random.default_rng(8).normal(size=(2, 3, 4, 4)).astype(np.float32),
+                   requires_grad=True)
+        with GradTape() as tape:
+            ops.gelu(x)
+        (_, _, bwd), = tape._nodes
+        held = [c.cell_contents for c in bwd.__closure__]
+        held = [v.data if isinstance(v, Tensor) else v for v in held]
+        big = [a for a in held if isinstance(a, np.ndarray) and a.size == x.size]
+        assert big and all(a is x.data for a in big)
+
+    @pytest.mark.parametrize("case", ["random", "special"])
+    def test_gelu_float32_gradient_bitwise_equal_to_the_kept_phi_formula(self, case):
+        # The reference is the formula over a whole-array Phi.
+        rng = np.random.default_rng(11)
+        if case == "random":
+            x = rng.normal(scale=3, size=3 * ops._PHI_CHUNK + 5).astype(np.float32)
+        else:
+            c = ops._PHI_CLAMP
+            x = np.float32([0.0, -0.0, c, -c, np.nextafter(c, np.float32(0)), 1e30, -1e30,
+                            np.inf, -np.inf, np.nan])
+        x = x.reshape(1, 1, 1, -1)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        with np.errstate(all="ignore"):
+            with GradTape() as tape:
+                loss = ops.sum_all(ops.mul(ops.gelu(xt), Tensor(g)))
+            got = backward(tape, loss).of(xt)
+            cdf = _phi(x.reshape(-1)).reshape(x.shape)
+            pdf = np.exp(-0.5 * x * x) * ops._INV_SQRT_2PI
+            want = g * (cdf + x * pdf)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
     def test_gelu_float32_outside_a_tape_allocates_under_two_outputs(self):
-        # Phi is kept only for a tape; without one, chunk-sized scratch holds it.
+        # Chunk-sized scratch holds Phi.
         x = Tensor(np.random.default_rng(3).normal(size=(1, 64, 128, 128)).astype(np.float32))
         tracemalloc.start()
         try:
@@ -549,6 +590,19 @@ class TestCrossEntropy:
         want = -(picked * valid).sum(dtype=z.dtype) / z.dtype.type(valid.sum())
         got = ops.softmax_cross_entropy(Tensor(z), labels).data
         assert got.dtype == np.float32 and got.tobytes() == np.float32(want).tobytes()
+
+    def test_uint8_and_int64_labels_give_identical_loss_and_gradient(self):
+        rng = np.random.default_rng(25)
+        z = (rng.normal(size=(2, 19, 16, 16)) * 3).astype(np.float32)
+        labels = rng.integers(0, 19, (2, 16, 16)).astype(np.uint8)
+        labels[:, :3] = 255
+        results = []
+        for lab in (labels, labels.astype(np.int64)):
+            zt = Tensor(z, requires_grad=True)
+            with GradTape() as tape:
+                loss = ops.softmax_cross_entropy(zt, lab)
+            results.append((loss.data.tobytes(), backward(tape, loss).of(zt).tobytes()))
+        assert results[0] == results[1]
 
     def test_float32_forward_holds_under_two_logits_arrays(self):
         # One logits-sized array (the exponentials the backward reads) and a

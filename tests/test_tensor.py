@@ -9,7 +9,7 @@ from segnext import ops
 from segnext.encoder import preset
 from segnext.model import build_model
 from segnext.tensor import (CostSink, GradTape, GraphError, ShapeError, Tensor,
-                            backward, recording)
+                            backward, grad_relevant, recording)
 
 
 DECODER_VARIANTS = {
@@ -84,8 +84,71 @@ class TestThreads:
             worker.join(timeout=60)
             assert not worker.is_alive() and len(outputs) == 1
             assert len(tape) == 0 and sink.rows == {}
+            assert outputs[0]._key is None and not grad_relevant(outputs[0])
             model.forward(x)  # the same forward in this thread is both
             assert len(tape) > 0 and sink.rows
+
+
+class TestTapeLifetimes:
+    def test_an_intermediate_no_adjoint_reads_is_freed_before_backward(self):
+        # The loss's adjoint reads its saved exponentials, not the logits,
+        # so the logits die with the forward code's last reference.
+        model = build_model(preset("mscan-micro"), seed=0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.random((2, 3, 64, 64), dtype=np.float32))
+        labels = rng.integers(0, 3, (2, 64, 64), dtype=np.uint8)
+
+        def grads(keep):
+            with GradTape() as tape:
+                logits = model.forward(x, training=True, rng=np.random.default_rng(1))
+                loss = ops.softmax_cross_entropy(logits, labels)
+            data = weakref.ref(logits.data)  # dies with the tensor, which holds it
+            kept = logits if keep else None
+            del logits
+            assert (data() is None) != keep
+            g = backward(tape, loss)
+            del kept
+            return [g.of(e.tensor).tobytes() for e in model.parameters()]
+
+        assert grads(keep=False) == grads(keep=True)
+
+    def test_an_output_of_an_earlier_tape_is_a_constant(self):
+        x = t([[[[3.0, -2.0]]]], grad=True)
+        with GradTape() as first:
+            y = ops.mul(x, x)
+            total = ops.sum_all(y)
+        with GradTape() as second:
+            assert not grad_relevant(y)
+            loss = ops.sum_all(ops.mul(y, x))
+        assert len(second) == 2
+        with pytest.raises(GraphError, match="not produced"):
+            backward(second, total)
+        # y is a constant here: d(sum(y * x))/dx = y
+        np.testing.assert_array_equal(backward(second, loss).of(x), y.data)
+        np.testing.assert_array_equal(backward(first, total).of(x), 2 * x.data)
+
+    def test_keys_stay_unique_over_many_ops(self):
+        # Each add_scalar output dies when the next is made, so ids repeat;
+        # keys do not, and the gradient counts every path.
+        x = t([[[[1.0, 2.0]]]], grad=True)
+        keys = []
+        with GradTape() as tape:
+            y = x
+            for _ in range(2000):
+                y = ops.add(ops.add_scalar(y, 1.0), x)
+                keys.append(y._key)
+            loss = ops.sum_all(y)
+        with GradTape() as other:
+            z = ops.add_scalar(x, 1.0)
+        assert len(set(keys)) == len(keys) and z._key not in keys
+        np.testing.assert_array_equal(backward(tape, loss).of(x), 2001.0)
+
+    def test_a_node_holds_no_tensor(self):
+        x = t([[[[1.0, 2.0]]]], grad=True)
+        with GradTape() as tape:
+            ops.mul(ops.add(x, x), x)
+        for out_key, in_keys, _ in tape._nodes:
+            assert not any(isinstance(k, Tensor) for k in (out_key, *in_keys))
 
 
 class TestBackward:
@@ -158,8 +221,9 @@ class TestBackward:
     def test_released_backward_frees_nodes_and_keeps_len(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)), requires_grad=True)
         with GradTape() as tape:
-            loss = ops.mean_all(ops.gelu(ops.mul(x, x)))
-        square = weakref.ref(tape._nodes[0][0].data)
+            square = ops.mul(x, x)
+            loss = ops.mean_all(ops.gelu(square))
+        square = weakref.ref(square.data)
         backward(tape, loss)
         assert len(tape) == 3 and tape._nodes == []
         assert square() is None

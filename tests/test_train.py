@@ -2,16 +2,16 @@
 contracts, checked against scalar oracles."""
 import importlib
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from segnext import ops
-from segnext.config import TrainParams
+from segnext.config import ConfigError, DataParams, TrainParams, parse_config
 from segnext.data import SegSample, synth_dataset
 from segnext.encoder import preset
 from segnext.model import ParamEntry, build_model
@@ -475,7 +475,7 @@ class TestTrainLoop:
             np.testing.assert_array_equal(a.optim.m[name], b.optim.m[name])
 
     def test_label_dtype_does_not_change_training(self):
-        # The batch copies labels into int64, so uint8 scenes and the same
+        # The batch keeps the set's label type; uint8 scenes and the same
         # scenes with int64 labels train bit for bit alike.
         def run(dtype):
             def cast(samples):
@@ -521,6 +521,55 @@ class TestTrainLoop:
         assert tags[0] == "init"
         assert "final" not in tags
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_update_that_overflows_raises_before_the_final_save(self):
+        # lr 1e39 is finite, but one update makes every parameter
+        # non-finite; the loss, checked before each update, never sees it.
+        saved = []
+
+        def checkpoint_fn(model, optim, tag):
+            finite = all(np.isfinite(e.tensor.data).all() for e in model.parameters())
+            saved.append((tag, finite))
+
+        with pytest.raises(TrainingDiverged, match="non-finite at iteration 0"):
+            train(MICRO, self.small_set(), iters=1, batch=2, seed=0, crop=32,
+                  lr=1e39, checkpoint_fn=checkpoint_fn)
+        assert saved == [("init", True)]
+
+    def test_step_memory_after_forward_and_at_peak(self):
+        # One train() step of mscan-micro at batch 8, crop 128 holds 28.1 MB
+        # after the forward and loss and peaks at 30.9 MB. The bounds leave
+        # room for noise but not for the tape to pin its activations again:
+        # nodes that held their outputs and inputs, with GELU keeping Phi,
+        # read 39.8 and 41.1 MB.
+        model = build_model(MICRO, 0)
+        params = model.parameters()
+        optim = init_optim(params)
+        rng = np.random.default_rng(0)
+        images = rng.random((8, 3, 128, 128), dtype=np.float32)
+        labels = rng.integers(0, 3, (8, 128, 128), dtype=np.uint8)
+        labels[:, :8] = 255
+
+        def step():
+            with GradTape() as tape:
+                logits = model.forward(Tensor(images), training=True,
+                                       rng=np.random.default_rng(1))
+                loss = cross_entropy(logits, labels)
+            del logits
+            held, _ = tracemalloc.get_traced_memory()
+            adamw_step(params, backward(tape, loss), optim, 1e-5)
+            return held
+
+        step()  # first-call allocations stay out of the figures
+        tracemalloc.start()
+        try:
+            held = step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 30 * 2**20
+        assert peak < 33 * 2**20
+
     def test_single_branch_ablation_trains_to_finite_loss(self):
         cfg = replace(MICRO, use_msca=False)
         res = train(cfg, self.small_set(), iters=3, batch=2, seed=0, crop=32)
@@ -547,6 +596,71 @@ class TestTrainLoop:
         assert res.optim.weight_decay == 0.05
         with pytest.raises(TypeError, match="max_iter"):
             train(MICRO, self.small_set(), iters=0, batch=3, seed=0, max_iter=5)
+
+
+_RUN_TEXT = """[model]
+model = mscan-micro
+[train]
+iters = 2
+batch = 2
+crop = 64
+checkpoint_interval = 1
+eval_interval = 1
+[data]
+size = 64
+num_train = 4
+num_val = 1
+"""
+_RUN_KEYS = [(section, f.name) for section, cls in (("train", TrainParams), ("data", DataParams))
+             for f in fields(cls)]
+_ODD_VALUES = ["nan", "-nan", "inf", "-inf", "-1", "0", "-0.0", "1e39", "-1e39", "1e300",
+               "1000000000", "-1000000000"]
+# The values that size a run: valid at any size, so the gate caps them to
+# keep each run micro-sized.
+_RUN_CAPS = {"iters": 2, "batch": 2, "crop": 64, "size": 64, "num_train": 4, "num_val": 1}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_RUN_KEYS),
+       st.one_of(st.sampled_from(_ODD_VALUES),
+                 st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                 st.integers(-10**12, 10**12).map(str)))
+@example(("train", "lr"), "1e39")
+@example(("train", "weight_decay"), "1e39")
+@example(("train", "power"), "1e-300")
+def test_odd_run_value_is_refused_or_trains_finite(spot, value):
+    # Each [train] or [data] value is refused, naming its key, or a
+    # two-iteration run that saves every iteration ends on finite
+    # parameters or raises TrainingDiverged, having saved none non-finite.
+    section, key = spot
+    lines = [ln for ln in _RUN_TEXT.splitlines() if not ln.startswith(f"{key} =")]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    try:
+        rc = parse_config("\n".join(lines))
+    except ConfigError as exc:
+        assert f"'{key}'" in str(exc) or str(exc).startswith(f"{key} "), str(exc)
+        return
+    tp = replace(rc.train, **{k: min(getattr(rc.train, k), cap)
+                              for k, cap in _RUN_CAPS.items() if hasattr(rc.train, k)})
+    data = replace(rc.data, **{k: min(getattr(rc.data, k), cap)
+                               for k, cap in _RUN_CAPS.items() if hasattr(rc.data, k)})
+    train_seed, val_seed = data_seeds(rc.seed)
+    k = rc.model.num_classes
+    saved = []
+
+    def checkpoint_fn(model, optim, tag):
+        saved.append(all(np.isfinite(e.tensor.data).all() for e in model.parameters()))
+
+    try:
+        res = train(rc.model, synth_dataset(train_seed, data.num_train, data.size, k),
+                    seed=rc.seed, val_set=synth_dataset(val_seed, data.num_val, data.size, k),
+                    checkpoint_fn=checkpoint_fn, **asdict(tp))
+    except TrainingDiverged:
+        pass
+    else:
+        assert all(np.isfinite(e.tensor.data).all() for e in res.model.parameters())
+    assert saved and all(saved)
 
 
 class TestEvaluate:
