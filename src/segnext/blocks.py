@@ -28,7 +28,7 @@ import numpy as np
 from . import ops
 from .initializers import fan_out_normal, trunc_normal
 from .ops import ConvSpec
-from .tensor import ShapeError, Tensor, recording
+from .tensor import ShapeError, Tensor, _untaped, grad_relevant, recording
 
 LAYER_SCALE_INIT = 1e-2
 STRIP_KERNELS = (7, 11, 21)
@@ -213,16 +213,49 @@ def _ffn_layers(p: BlockParams, c0: int, c1: int) -> tuple[ConvLayer, ConvLayer,
     )
 
 
+def _ffn_node(x: Tensor, p: BlockParams) -> Tensor:
+    """The FFN as one tape node that keeps only ``x`` and the depthwise
+    output. Its adjoint recomputes the cheap expansion, takes the GELU and
+    its slope from one Phi pass over the kept output, and runs the convs'
+    own backward, so its gradients are bitwise those of the four ops
+    recorded one by one, without their three hidden-width outputs on the
+    tape. The forward runs the public ops, which charge their costs."""
+    expand, dw, project = p.ffn_expand, p.ffn_dw, p.ffn_project
+    need_x = grad_relevant(x)  # read while the tape still records
+    with _untaped():
+        d = conv(conv(x, expand), dw)
+        out = conv(ops.gelu(d), project)
+
+    def bwd(g: np.ndarray):
+        y, slope = ops._gelu_and_slope(d.data)
+        dy, dw_project = ops._conv_backward(g, y, project.weight.data, project.spec, True)
+        del y
+        dd = np.multiply(dy, slope, out=dy)  # the depthwise output's adjoint
+        del slope
+        e = ops._conv_forward(x.data, expand.weight.data, expand.spec, *x.shape[2:])
+        e += expand.bias.data
+        de, dw_dw = ops._conv_backward(dd, e, dw.weight.data, dw.spec, True)
+        del e
+        dx, dw_expand = ops._conv_backward(de, x.data, expand.weight.data, expand.spec,
+                                           need_x)
+        return (dx, dw_expand, ops._bias_grad(de), dw_dw, ops._bias_grad(dd), dw_project,
+                ops._bias_grad(g))
+
+    inputs = (x, expand.weight, expand.bias, dw.weight, dw.bias, project.weight, project.bias)
+    return ops.record(out, inputs, bwd)
+
+
 def _ffn_sub_block(x: Tensor, p: BlockParams) -> Tensor:
-    # Without a tape the hidden channels run one block of about
-    # _FFN_BLOCK_BYTES at a time, each block's projection summed into one
-    # output, so no hidden-size tensor exists. A tape, or a hidden tensor
-    # that fits in one block (an empty batch, say), runs the layers whole.
+    # Under a tape the FFN is one node. Without one the hidden channels run
+    # one block of about _FFN_BLOCK_BYTES at a time, each block's projection
+    # summed into one output, so no hidden-size tensor exists; a hidden
+    # tensor that fits in one block (an empty batch, say) runs the layers
+    # whole.
+    if recording():
+        return _ffn_node(x, p)
     hidden = p.ffn_dw.spec.out_channels
     n, _, h, w = x.shape
-    step = hidden
-    if not recording():
-        step = min(hidden, max(1, _FFN_BLOCK_BYTES // max(1, n * h * w * x.data.itemsize)))
+    step = min(hidden, max(1, _FFN_BLOCK_BYTES // max(1, n * h * w * x.data.itemsize)))
     out = None
     for c0 in range(0, hidden, step):
         expand, dw, project = ((p.ffn_expand, p.ffn_dw, p.ffn_project) if step == hidden

@@ -324,6 +324,11 @@ def _conv_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpe
     return dx, dw
 
 
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """A conv bias's gradient from its output's."""
+    return g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
     """2-D grouped convolution (cross-correlation), zero padded, floor-sized."""
     n, c, h, w = x.shape
@@ -359,8 +364,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     def bwd(g: np.ndarray):
         dx, dw = _conv_backward(g, x.data, weight.data, spec, need_x)
         if bias is not None:
-            db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-            return dx, dw, db
+            return dx, dw, _bias_grad(g)
         return dx, dw
 
     return record(out, inputs, bwd)
@@ -475,18 +479,22 @@ def _phi_f32(x: np.ndarray, phi: np.ndarray, z: np.ndarray, s: np.ndarray,
     np.clip(phi, 0, 1, out=phi)
 
 
-def _gelu_f32(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """GELU of float32 ``x``, or with ``g`` its backward ``g * (Phi + x * pdf)``.
+def _gelu_f32(x: np.ndarray, g: np.ndarray | None = None,
+              slope: bool = False):
+    """GELU of float32 ``x``; with ``g``, its backward ``g * (Phi + x * pdf)``
+    instead; with ``slope``, the pair of GELU and ``Phi + x * pdf``.
 
-    Both run chunk by chunk on cache-sized scratch, so neither keeps Phi nor
-    allocates more than its output. Every step is elementwise IEEE
-    arithmetic, so the result does not depend on where the chunks fall, and
-    the backward rounds as ``g * (cdf + x * pdf)`` over a kept Phi does
-    (where two NaNs meet, numpy's loops may keep either payload).
+    Each runs chunk by chunk on cache-sized scratch, so none keeps Phi or
+    allocates more than its outputs, and the pair comes from one Phi pass.
+    Every step is elementwise IEEE arithmetic, so the result does not depend
+    on where the chunks fall, and the backward rounds as ``g * (cdf + x *
+    pdf)`` over a kept Phi does (where two NaNs meet, numpy's loops may keep
+    either payload).
     """
     flat = np.ascontiguousarray(x).reshape(-1)
     gf = None if g is None else np.ascontiguousarray(g).reshape(-1)
     out = np.empty_like(flat)
+    d = np.empty_like(flat) if slope else None
     phi, z, s, q = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(4))
     for lo in range(0, flat.size, _PHI_CHUNK):
         hi = min(lo + _PHI_CHUNK, flat.size)
@@ -494,15 +502,21 @@ def _gelu_f32(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         _phi_f32(xc, pc, zc, s[:hi - lo], q[:hi - lo])
         if gf is None:
             np.multiply(xc, pc, out=out[lo:hi])
-            continue
+            if d is None:
+                continue
         # pdf = exp(-0.5 * x * x) / sqrt(2 pi) into the scratch z.
         np.multiply(-0.5, xc, out=zc)
         np.multiply(zc, xc, out=zc)
         np.exp(zc, out=zc)
         np.multiply(zc, _INV_SQRT_2PI, out=zc)
         np.multiply(xc, zc, out=zc)
-        np.add(pc, zc, out=zc)
-        np.multiply(gf[lo:hi], zc, out=out[lo:hi])
+        if d is None:
+            np.add(pc, zc, out=zc)
+            np.multiply(gf[lo:hi], zc, out=out[lo:hi])
+        else:
+            np.add(pc, zc, out=d[lo:hi])
+    if d is not None:
+        return out.reshape(x.shape), d.reshape(x.shape)
     return out.reshape(x.shape)
 
 
@@ -550,6 +564,25 @@ def _erf_f64(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) <= 1.0, central, np.copysign(1.0 - erfc, x))
 
 
+def _cdf_f64(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + _erf_f64(x * _INV_SQRT2))
+
+
+def _gelu_slope_f64(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """``Phi + x * pdf`` of float64 ``x`` given its Phi."""
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return cdf + x * pdf
+
+
+def _gelu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of ``x`` and its derivative ``Phi + x * pdf`` from one Phi, each
+    rounded as ``gelu`` and its backward round them."""
+    if x.dtype == np.float32:
+        return _gelu_f32(x, slope=True)
+    cdf = _cdf_f64(x)
+    return x * cdf, _gelu_slope_f64(x, cdf)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x). float32 takes Phi from a rational erf and
     recomputes it in the backward; float64 takes Phi from cephes' erf."""
@@ -561,12 +594,11 @@ def gelu(x: Tensor) -> Tensor:
         def bwd(g: np.ndarray):
             return (_gelu_f32(xd, g),)
     else:
-        cdf = 0.5 * (1.0 + _erf_f64(xd * _INV_SQRT2))
+        cdf = _cdf_f64(xd)
         out = Tensor(xd * cdf)
 
         def bwd(g: np.ndarray):
-            pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-            return (g * (cdf + xd * pdf),)
+            return (g * _gelu_slope_f64(xd, cdf),)
 
     return record(out, (x,), bwd)
 

@@ -158,6 +158,18 @@ def recording() -> bool:
     return _ACTIVE_TAPE.get() is not None
 
 
+@contextmanager
+def _untaped() -> Iterator[None]:
+    """Suspend the active tape inside the ``with``, so that a node built from
+    other ops can run them unrecorded and then record itself (tapes cannot
+    nest)."""
+    token = _ACTIVE_TAPE.set(None)
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPE.reset(token)
+
+
 def grad_relevant(t: Tensor) -> bool:
     """Whether ``t`` can receive a gradient on the currently recording tape.
 

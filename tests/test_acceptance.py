@@ -208,6 +208,8 @@ def _sampled_model_fd(cfg, seed: int, n_entries: int, delta: float = 1e-6):
 
     with GradTape() as tape:
         loss = loss_of()
+    # Every block's FFN is one tape node, so the encoder probes run through it.
+    assert sum(fn.__module__ == "segnext.blocks" for *_, fn in tape._nodes) == sum(cfg.depths)
     grads = backward(tape, loss)
     worst = 0.0
     probes = 0

@@ -1,5 +1,6 @@
 """Attention unit and residual block: shape contracts, hand-composed
-references, parameter counts, and residual gating."""
+references, parameter counts, residual gating, and the FFN's tape node."""
+import contextlib
 import dataclasses
 import tracemalloc
 
@@ -10,7 +11,7 @@ from segnext import blocks, ops
 from segnext.blocks import (LAYER_SCALE_INIT, STRIP_KERNELS, BlockParams,
                             block_forward, large_kernel_block_forward,
                             make_block, make_msca, msca_forward)
-from segnext.tensor import GradTape, ShapeError, Tensor, backward
+from segnext.tensor import CostSink, GradTape, ShapeError, Tensor, backward
 
 from oracles import conv2d_loops, rel_err
 
@@ -319,3 +320,66 @@ class TestDropPath:
         gated = block_forward(Tensor(x), p, training=True, drop_path=0.25,
                               rng=np.random.default_rng(seed)).data
         assert rel_err(gated - x, (plain - x) / 0.75) <= 1e-10
+
+
+class TestFfnNode:
+    """Under a tape the FFN is one node that keeps its input and the
+    depthwise output; its output and every gradient are bitwise those of
+    the same four ops recorded one by one."""
+
+    @staticmethod
+    def ffn_params(dtype):
+        rng = np.random.default_rng(23)
+        p = make_block(rng, 4, expansion=3, dtype=dtype)
+        for layer in (p.ffn_expand, p.ffn_dw, p.ffn_project):
+            layer.bias.data[...] = rng.normal(size=layer.bias.shape)
+        return p
+
+    @staticmethod
+    def composed(x, p):
+        y = ops.conv2d(x, p.ffn_expand.weight, p.ffn_expand.bias, p.ffn_expand.spec)
+        y = ops.conv2d(y, p.ffn_dw.weight, p.ffn_dw.bias, p.ffn_dw.spec)
+        y = ops.gelu(y)
+        return ops.conv2d(y, p.ffn_project.weight, p.ffn_project.bias, p.ffn_project.spec)
+
+    @staticmethod
+    def run(ffn, x, p, cotangent):
+        with GradTape() as tape:
+            out = ffn(x, p)
+            loss = ops.sum_all(ops.mul(out, cotangent))
+        nodes = len(tape)
+        grads = backward(tape, loss)
+        params = [p.ffn_expand.weight, p.ffn_expand.bias, p.ffn_dw.weight, p.ffn_dw.bias,
+                  p.ffn_project.weight, p.ffn_project.bias]
+        got = [out.data] + [grads.of(t) for t in params]
+        if x.requires_grad:
+            got.append(grads.of(x))
+        return nodes, [(a.dtype, a.shape, a.tobytes()) for a in got]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,h,w", [(1, 5, 7), (2, 9, 3)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_node_is_the_composition_bitwise(self, dtype, n, h, w, x_grad):
+        p = self.ffn_params(dtype)
+        rng = np.random.default_rng([n, h, w])
+        # Spread wide enough to reach GELU's tails and its clamp.
+        x = Tensor((rng.normal(size=(n, 4, h, w)) * 3).astype(dtype), requires_grad=x_grad)
+        cotangent = Tensor(rng.normal(size=(n, 4, h, w)).astype(dtype))
+        nodes, got = self.run(blocks._ffn_sub_block, x, p, cotangent)
+        ref_nodes, want = self.run(self.composed, x, p, cotangent)
+        assert (nodes, ref_nodes) == (3, 6)  # the FFN, mul and sum; the four ops
+        assert len(got) == (8 if x_grad else 7)
+        assert got == want
+
+    def test_forward_charges_the_four_ops(self):
+        p = self.ffn_params(np.float32)
+        x = Tensor(np.zeros((0, 4, 8, 8), np.float32))
+        layer_of = {id(layer.weight): name for name, layer in
+                    (("expand", p.ffn_expand), ("dw", p.ffn_dw), ("project", p.ffn_project))}
+        rows = []
+        for tape in (contextlib.nullcontext(), GradTape()):
+            with CostSink(layer_of) as sink, tape:
+                blocks._ffn_sub_block(x, p)
+            rows.append(sink.rows)
+        assert rows[0] == rows[1]
+        assert list(rows[0]) == ["expand", "dw", "model", "project"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from segnext import ops
+from segnext.blocks import block_forward, make_block
 from segnext.encoder import preset
 from segnext.model import build_model
 from segnext.tensor import (CostSink, GradTape, GraphError, ShapeError, Tensor,
@@ -142,6 +143,42 @@ class TestTapeLifetimes:
             z = ops.add_scalar(x, 1.0)
         assert len(set(keys)) == len(keys) and z._key not in keys
         np.testing.assert_array_equal(backward(tape, loss).of(x), 2001.0)
+
+    def test_the_ffn_keeps_only_its_depthwise_output(self, monkeypatch):
+        # Of the FFN's three hidden-width outputs only the depthwise one is
+        # on the tape; its adjoint recomputes the expansion and the GELU.
+        p = make_block(np.random.default_rng(0), 4, expansion=4)
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 4, 8, 8)).astype(np.float32))
+        refs = {}
+
+        def root(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return weakref.ref(arr)
+
+        def watch(fn, name_of):
+            def wrapped(*args):
+                out = fn(*args)
+                name = name_of(*args)
+                if name:
+                    refs[name] = root(out.data)
+                return out
+            return wrapped
+
+        conv_names = {id(p.ffn_expand.weight): "expand", id(p.ffn_dw.weight): "dw"}
+        monkeypatch.setattr(ops, "conv2d",
+                            watch(ops.conv2d, lambda x, w, b, spec: conv_names.get(id(w))))
+        # The FFN's GELU is the one over 16 hidden channels.
+        monkeypatch.setattr(ops, "gelu",
+                            watch(ops.gelu, lambda x: "gelu" if x.shape[1] == 16 else None))
+        with GradTape() as tape:
+            out = block_forward(x, p, training=True)
+            loss = ops.sum_all(out)
+        assert sorted(refs) == ["dw", "expand", "gelu"]
+        assert refs["expand"]() is None and refs["gelu"]() is None
+        assert refs["dw"]() is not None
+        backward(tape, loss)
+        assert refs["dw"]() is None
 
     def test_a_node_holds_no_tensor(self):
         x = t([[[[1.0, 2.0]]]], grad=True)

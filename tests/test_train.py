@@ -537,11 +537,12 @@ class TestTrainLoop:
         assert saved == [("init", True)]
 
     def test_step_memory_after_forward_and_at_peak(self):
-        # One train() step of mscan-micro at batch 8, crop 128 holds 28.1 MB
-        # after the forward and loss and peaks at 30.9 MB. The bounds leave
-        # room for noise but not for the tape to pin its activations again:
-        # nodes that held their outputs and inputs, with GELU keeping Phi,
-        # read 39.8 and 41.1 MB.
+        # One train() step of mscan-micro at batch 8, crop 128 holds 21.3 MB
+        # after the forward and loss and peaks at 24.2 MB. The bounds leave
+        # room for noise but not for the tape to pin more activations: with
+        # the FFN as four nodes, which keep its expansion and GELU outputs,
+        # it read 28.1 and 30.9 MB; with nodes that held their outputs and
+        # inputs, and GELU keeping Phi, 39.8 and 41.1 MB.
         model = build_model(MICRO, 0)
         params = model.parameters()
         optim = init_optim(params)
@@ -567,8 +568,31 @@ class TestTrainLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < 30 * 2**20
-        assert peak < 33 * 2**20
+        assert held < 23 * 2**20
+        assert peak < 26 * 2**20
+
+    def test_segnext_t_step_memory(self):
+        # The paper's model at 1x3x256x256 holds 124.9 MB after the forward
+        # and loss and peaks at 163.8 MB in the backward. With the FFN as
+        # four nodes it read 168.2 and 207.1 MB.
+        model = build_model(preset("segnext-t"), 0)
+        rng = np.random.default_rng(0)
+        images = rng.random((1, 3, 256, 256), dtype=np.float32)
+        labels = rng.integers(0, 150, (1, 256, 256), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                logits = model.forward(Tensor(images), training=True,
+                                       rng=np.random.default_rng(1))
+                loss = cross_entropy(logits, labels)
+            del logits
+            held, _ = tracemalloc.get_traced_memory()
+            backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 135 * 2**20
+        assert peak < 175 * 2**20
 
     def test_single_branch_ablation_trains_to_finite_loss(self):
         cfg = replace(MICRO, use_msca=False)
